@@ -21,8 +21,9 @@ from . import chulls as ch
 from . import hyperfun as hf
 from . import mellin as ml
 from . import quadrature as qd
-from .errors import (DegenerateParameters, DomainError, MethodUnavailable,
-                     NoClosedForm, OutsideROC, PoleError, ResonantLattice)
+from .errors import (DegenerateParameters, DomainError, InfeasibleContour,
+                     MethodUnavailable, NoClosedForm, OutsideROC, PoleError,
+                     ResonantLattice)
 from .gammafn import gamma_signed
 from .result import EvalResult
 from .symcore import GammaFactor, LinearForm, SymbolKind, SymbolTable
@@ -30,6 +31,22 @@ from .symcore import GammaFactor, LinearForm, SymbolKind, SymbolTable
 L = LinearForm
 F = Fraction
 HALF = F(1, 2)
+
+# the errors by which a route says it does not apply here; ``auto`` then
+# tries the next route
+_REFUSALS = (NoClosedForm, MethodUnavailable, DomainError, PoleError,
+             InfeasibleContour)
+
+
+def _first_route(routes: Sequence[str], evaluate) -> EvalResult:
+    """``auto``: the result of the first of ``routes`` that does not refuse."""
+    refusals = []
+    for m in routes:
+        try:
+            return evaluate(m)
+        except _REFUSALS as exc:
+            refusals.append(f"{m}: {type(exc).__name__}: {exc}")
+    raise MethodUnavailable("every route refused (" + "; ".join(refusals) + ")")
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +313,8 @@ def box_b(n: int, s: float, method: str = "auto", tol: float = 1e-8,
     if s == -float(n):
         raise PoleError(f"B_{n}(s) has a pole at s = -{n}")
     if method == "auto":
-        for m in ("closed", "contour", "oracle"):
-            try:
-                return box_b(n, s, m, tol, seed)
-            except (NoClosedForm, MethodUnavailable, PoleError):
-                continue
-        raise MethodUnavailable("no box method applies")
+        return _first_route(("closed", "contour", "oracle"),
+                            lambda m: box_b(n, s, m, tol, seed))
     if method == "closed":
         return _box_closed(n, s, tol)
     if method == "contour":
@@ -475,11 +488,8 @@ def ising_c(n: int, k: int, method: str = "auto", tol: float = 1e-8,
     if not 1 <= n <= 5 or k < 0:
         raise ValueError("need 1 <= n <= 5 and k >= 0")
     if method == "auto":
-        for m in ("closed", "contour", "oracle"):
-            try:
-                return ising_c(n, k, m, tol, seed)
-            except (NoClosedForm, MethodUnavailable):
-                continue
+        return _first_route(("closed", "contour", "oracle"),
+                            lambda m: ising_c(n, k, m, tol, seed))
     if method == "closed":
         return _ising_closed(n, k, tol)
     if method == "contour":
@@ -544,11 +554,8 @@ def ising_c_param(n: int, k: int, exponents: Sequence[float],
     pv = {"k": float(k)}
     pv.update({nm: float(e) for nm, e in zip(names, exponents)})
     if method == "auto":
-        for m in ("contour", "oracle"):
-            try:
-                return ising_c_param(n, k, exponents, m, tol)
-            except (MethodUnavailable, DomainError):
-                continue
+        return _first_route(("contour", "oracle"),
+                            lambda m: ising_c_param(n, k, exponents, m, tol))
     if method == "contour":
         return ml.eval_contour(ising_param_mb(n), pv, tol=tol)
     if method == "series":

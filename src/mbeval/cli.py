@@ -102,6 +102,15 @@ def mb_to_json(mb: ml.MBIntegrand) -> dict:
 
 
 def mb_from_json(doc: Mapping) -> ml.MBIntegrand:
+    """The integrand a parsed MB JSON document describes; UsageError if the
+    document is malformed (missing field, non-rational number, wrong type)."""
+    try:
+        return _mb_from_doc(doc)
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"malformed MB document: {type(e).__name__}: {e}") from None
+
+
+def _mb_from_doc(doc: Mapping) -> ml.MBIntegrand:
     if doc.get("schema") != SCHEMA:
         raise UsageError(f"unsupported schema {doc.get('schema')!r}")
     dim = int(doc["dim"])
@@ -194,8 +203,9 @@ def _pairwise_pass(results: list[tuple[str, EvalResult]]) -> tuple[bool, list[di
 
 def _add_common(p):
     p.add_argument("--method", default="auto")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    # None: from --config, else 1e-8 and 0 (see _apply_config)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--timings", action="store_true",
                    help="include runtime_ms (breaks byte-reproducibility)")
     p.add_argument("--config", default=None,
@@ -260,29 +270,52 @@ def build_parser():
 
 
 def _parse_number(text: str) -> float:
-    return float(Fraction(text)) if "/" in text else float(text)
+    """A rational flag value ("3/2", "-0.5", "1e-3") as the nearest float."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise UsageError(f"not a rational number: {text!r}") from None
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise UsageError(f"cannot read {what} {path!r}: {reason}") from None
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path, "file"))
+    except json.JSONDecodeError as e:
+        raise UsageError(f"malformed JSON in {path!r}: {e}") from None
 
 
 def _apply_config(args):
-    if getattr(args, "config", None):
-        from . import chulls
-        from . import mellin as _ml
-        with open(args.config) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                key, val = line.split("=", 1)
-                key = key.strip()
-                val = val.strip()
-                if key == "tol" and "--tol" not in sys.argv:
-                    args.tol = float(val)
-                elif key == "seed" and "--seed" not in sys.argv:
-                    args.seed = int(val)
-                elif key == "max_jet_order":
-                    chulls.MAX_JET_ORDER = int(val)
-                elif key == "contour_node_budget":
-                    _ml.DEFAULT_MAX_NODES = int(val)
+    """Fill in tol and seed: a flag on the command line wins over the --config
+    file, which wins over the built-in default."""
+    cfg = {}
+    if args.config:
+        for line in _read_text(args.config, "config file").splitlines():
+            line = line.strip()
+            if not line or line.startswith("#") or "=" not in line:
+                continue
+            key, val = line.split("=", 1)
+            cfg[key.strip()] = val.strip()
+    from . import chulls
+    try:
+        if args.tol is None:
+            args.tol = float(cfg.get("tol", 1e-8))
+        if args.seed is None:
+            args.seed = int(cfg.get("seed", 0))
+        if "max_jet_order" in cfg:
+            chulls.MAX_JET_ORDER = int(cfg["max_jet_order"])
+        if "contour_node_budget" in cfg:
+            ml.DEFAULT_MAX_NODES = int(cfg["contour_node_budget"])
+    except ValueError as e:
+        raise UsageError(f"bad value in config file {args.config!r}: {e}") from None
     return args
 
 
@@ -292,7 +325,7 @@ def _run_entry(args) -> tuple[str, dict, list[tuple[str, EvalResult]]]:
         params = {"n": args.n, "k": args.k}
         fn = lambda m: cat.ising_c(args.n, args.k, m, args.tol, args.seed)
     elif cmd == "ising-param":
-        exps = [float(Fraction(x)) for x in args.exponents.split(",")]
+        exps = [_parse_number(x) for x in args.exponents.split(",")]
         params = {"n": args.n, "k": args.k, "exponents": exps}
         fn = lambda m: cat.ising_c_param(args.n, args.k, exps, m, args.tol)
     elif cmd == "c5":
@@ -313,18 +346,18 @@ def _run_entry(args) -> tuple[str, dict, list[tuple[str, EvalResult]]]:
         params = {"n": args.n}
         fn = lambda m: cat.jellium(args.n, m, args.tol, args.seed)
     elif cmd == "ruby":
-        a_list = [float(Fraction(x)) for x in args.a.split(",") if x]
-        r_list = [float(Fraction(x)) for x in args.R.split(",") if x]
+        a_list = [_parse_number(x) for x in args.a.split(",") if x]
+        r_list = [_parse_number(x) for x in args.R.split(",") if x]
         d = _parse_number(args.d)
         params = {"l": args.l, "d": d, "a": a_list, "R": r_list}
         fn = lambda m: cat.ruby(args.l, d, a_list, r_list, m, args.tol)
     elif cmd == "mb":
-        with open(args.file) as fh:
-            doc = json.load(fh)
-        mb = mb_from_json(doc)
+        mb = mb_from_json(_read_json(args.file))
         pv = {}
         for spec_ in args.param:
-            name, val = spec_.split("=", 1)
+            name, eq, val = spec_.partition("=")
+            if not eq:
+                raise UsageError(f"--param wants name=value, not {spec_!r}")
             pv[name] = _parse_number(val)
         params = {"file": args.file, "values": pv}
 

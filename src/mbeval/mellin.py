@@ -5,6 +5,14 @@ The contour evaluator integrates along Re z_i = c_i with per-axis Clenshaw-Curti
 panels evaluated as a tensor product (innermost axis fastest), an embedded
 half-order rule for the error estimate, and an analytic exponential tail bound
 from the gamma-decay envelope |Gamma(x+iy)| ~ e^{-pi |y| / 2}.
+
+Each block of the tensor is an open grid: every factor is evaluated on the
+sub-grid of the axes its argument depends on and broadcast, so only factors of
+two or more z's cost a log-gamma per node.  A pair Gamma(a)^p Gamma(a+m)^-p
+whose exact arguments differ by a positive integer m is folded into the
+rational factor prod_{j<m} (a+j)^-p, one complex log instead of two log-gammas.
+The contour LP still sees Gamma(a)'s poles; a folded pair adds nothing to the
+decay rates.
 """
 from __future__ import annotations
 
@@ -217,6 +225,34 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _CC_CACHE[n]
 
 
+def _fold_gamma_ratios(gammas: Sequence[GammaFactor]
+                      ) -> tuple[list[GammaFactor], list[tuple[LinearForm, int, int]]]:
+    """Pair Gamma(a)^p with Gamma(a+m)^-p, m a positive integer, exactly.
+
+    Each pair is the rational function prod_{j<m} (a+j)^-p, returned as
+    (a, m, p); the factors left unpaired keep their order.
+    """
+    rest = list(gammas)
+    pairs = []
+    i = 0
+    while i < len(rest):
+        for j in range(i + 1, len(rest)):
+            lo, hi = rest[i], rest[j]
+            if hi.mult != -lo.mult:
+                continue
+            d = hi.arg - lo.arg
+            if not d.is_constant() or d.const.denominator != 1 or d.const == 0:
+                continue
+            if d.const < 0:
+                lo, hi = hi, lo
+            pairs.append((lo.arg, abs(int(d.const)), lo.mult))
+            del rest[j], rest[i]
+            break
+        else:
+            i += 1
+    return rest, pairs
+
+
 class _NumericIntegrand:
     """Parameter-substituted MB integrand evaluated in log space."""
 
@@ -231,26 +267,30 @@ class _NumericIntegrand:
             self.log_pref += g.mult * lg
             if sg < 0 and g.mult % 2 != 0:
                 self.sign = -self.sign
-        # z-dependent pieces: arrays of (const_complex, coef_vector)
+        # z-dependent pieces: gamma factors (b0, coefs, mult) and folded
+        # pairs (b0, coefs, m, p), the argument being b0 + coefs . z
         self.gamma_terms = []
-        for g in mb.gammas:
-            coefs = np.array([float(g.arg.coeff(z)) for z in mb.zsyms])
-            rest = LinearForm({k: v for k, v in g.arg.coeffs.items()
-                               if k not in set(mb.zsyms)}, g.arg.const)
-            self.gamma_terms.append((float(rest.evaluate(vals)), coefs, g.mult))
+        self.ratio_terms = []
+        unpaired, pairs = _fold_gamma_ratios(mb.gammas)
+        for g in unpaired:
+            b0, coefs = self._split(g.arg, mb.zsyms, vals)
+            self.gamma_terms.append((b0, coefs, g.mult))
+        for arg, m, p in pairs:
+            b0, coefs = self._split(arg, mb.zsyms, vals)
+            self.ratio_terms.append((b0, coefs, m, p))
         self.pow_terms = []
         for name, e in mb.powers:
-            lb = math.log(vals[name])
-            coefs = np.array([float(e.coeff(z)) for z in mb.zsyms])
-            rest = LinearForm({k: v for k, v in e.coeffs.items()
-                               if k not in set(mb.zsyms)}, e.const)
-            self.pow_terms.append((lb, float(rest.evaluate(vals)), coefs))
+            self.pow_terms.append((math.log(vals[name]), *self._split(e, mb.zsyms, vals)))
         for base, e in mb.base_powers:
-            lb = math.log(float(base))
-            coefs = np.array([float(e.coeff(z)) for z in mb.zsyms])
-            rest = LinearForm({k: v for k, v in e.coeffs.items()
-                               if k not in set(mb.zsyms)}, e.const)
-            self.pow_terms.append((lb, float(rest.evaluate(vals)), coefs))
+            self.pow_terms.append((math.log(float(base)), *self._split(e, mb.zsyms, vals)))
+
+    @staticmethod
+    def _split(form: LinearForm, zsyms, vals) -> tuple[float, np.ndarray]:
+        """(value of the z-free part, coefficient vector over zsyms)."""
+        coefs = np.array([float(form.coeff(z)) for z in zsyms])
+        rest = LinearForm({k: v for k, v in form.coeffs.items()
+                           if k not in set(zsyms)}, form.const)
+        return float(rest.evaluate(vals)), coefs
 
     def axis_decay(self, i: int) -> float:
         """Exponential decay rate along Im z_i (Stirling envelope)."""
@@ -260,14 +300,22 @@ class _NumericIntegrand:
         return 0.5 * math.pi * kappa
 
     def log_value(self, zs: Sequence[np.ndarray]) -> np.ndarray:
-        lg = np.zeros(np.broadcast(*zs).shape, dtype=complex) if self.dim > 1 \
-            else np.zeros(zs[0].shape, dtype=complex)
+        """Log of the integrand on the broadcast of ``zs``.  With open grids
+        (one axis each) every factor runs on the sub-grid of its own axes."""
+        def affine(b0, coefs):
+            return b0 + sum(c * z for c, z in zip(coefs, zs) if c != 0.0)
+
+        lg = np.zeros(np.broadcast_shapes(*(np.shape(z) for z in zs)), dtype=complex)
         for b0, coefs, mult in self.gamma_terms:
-            arg = b0 + sum(c * z for c, z in zip(coefs, zs) if c != 0.0)
-            lg = lg + mult * clgamma(arg)
+            lg = lg + mult * clgamma(affine(b0, coefs))
+        for b0, coefs, m, p in self.ratio_terms:
+            a = affine(b0, coefs)
+            prod = a
+            for j in range(1, m):
+                prod = prod * (a + j)
+            lg = lg - p * np.log(prod)
         for lb, e0, coefs in self.pow_terms:
-            ee = e0 + sum(c * z for c, z in zip(coefs, zs) if c != 0.0)
-            lg = lg + lb * ee
+            lg = lg + lb * affine(e0, coefs)
         return lg + self.log_pref
 
     def value(self, zs) -> np.ndarray:
@@ -390,17 +438,17 @@ def eval_contour(mb: MBIntegrand, param_values: Mapping[str, float],
         n_used = 0
         for combo in blocks:
             n_used += (order + 1) ** ndim
-            grids = np.meshgrid(*[c[0] for c in combo], indexing="ij")
+            grids = np.meshgrid(*[c[0] for c in combo], indexing="ij", sparse=True)
             zs = [cs[i] + 1j * grids[i] for i in range(ndim)]
             vals = f.value(zs)
-            wgrids = np.meshgrid(*[c[1] for c in combo], indexing="ij")
+            wgrids = np.meshgrid(*[c[1] for c in combo], indexing="ij", sparse=True)
             wprod = wgrids[0]
             for g in wgrids[1:]:
                 wprod = wprod * g
             acc_full += np.sum(vals * wprod)
             for i in range(ndim):
                 sel = [combo[j][2] if j == i else combo[j][1] for j in range(ndim)]
-                wg = np.meshgrid(*sel, indexing="ij")
+                wg = np.meshgrid(*sel, indexing="ij", sparse=True)
                 wp = wg[0]
                 for g in wg[1:]:
                     wp = wp * g

@@ -152,6 +152,34 @@ def test_c4_param_unit_exponents_refused_honestly():
         cat.ising_c_param(4, 1, (1.0, 1.0, 1.0, 1.0), "oracle")
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_param_auto_names_every_refusal(n):
+    # the contour refusal (InfeasibleContour) no longer escapes auto: the
+    # oracle is tried, and when it refuses too both reasons are reported
+    with pytest.raises(MethodUnavailable) as info:
+        cat.ising_c_param(n, 1, (1.0,) * n, "auto", 1e-9)
+    msg = str(info.value)
+    assert "contour: InfeasibleContour" in msg
+    assert "oracle: DomainError" in msg
+
+
+def test_ising_auto_names_every_refusal(monkeypatch):
+    def no_closed(n, k, tol):
+        raise NoClosedForm("withheld")
+
+    def no_oracle(*args):
+        raise DomainError("withheld")
+    monkeypatch.setattr(cat, "_ising_closed", no_closed)
+    monkeypatch.setattr(cat.qd, "bessel_moment", no_oracle)
+    with pytest.raises(MethodUnavailable) as info:
+        cat.ising_c(2, 1, "auto")
+    msg = str(info.value)
+    assert "unknown method" not in msg
+    assert "closed: NoClosedForm: withheld" in msg
+    assert "contour: MethodUnavailable" in msg
+    assert "oracle: DomainError: withheld" in msg
+
+
 # ---------------------------------------------------------------------------
 # C5(alpha, beta)
 

@@ -152,3 +152,59 @@ def test_cli_config_jet_and_budget(tmp_path):
     code, out, _ = run_cli("jellium", "--n", "3", "--method", "closed",
                            "--config", str(cfg))
     assert code == 0
+
+
+def _dispatch_report(argv, capsys):
+    rc = cli.dispatch(argv)
+    out = capsys.readouterr().out
+    return rc, json.loads(out)["results"][0]
+
+
+def test_config_tol_yields_to_the_tol_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("tol=1e-3\n")
+    base = ["ising", "--n", "3", "--k", "1", "--method", "contour"]
+    for flag in (["--tol", "1e-12"], ["--tol=1e-12"]):
+        rc, res = _dispatch_report(base + flag + ["--config", str(cfg)], capsys)
+        assert rc == 0 and res["abs_err_est"] <= 1e-12
+    # without the flag the config file's tol applies
+    rc, res = _dispatch_report(base + ["--config", str(cfg)], capsys)
+    assert rc == 0 and 1e-12 < res["abs_err_est"] <= 1e-3
+
+
+def _assert_usage_error(code, out, err, needle):
+    assert code == 64
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error:") and needle in err
+
+
+def test_cli_missing_files_exit_64(tmp_path):
+    missing = str(tmp_path / "absent.json")
+    _assert_usage_error(*run_cli("mb", "--file", missing), "absent.json")
+    _assert_usage_error(*run_cli("box", "--n", "1", "--s", "1", "--method", "closed",
+                                 "--config", missing), "absent.json")
+
+
+def test_cli_malformed_json_exit_64(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema": 1, "dim": ')
+    _assert_usage_error(*run_cli("mb", "--file", str(path)), "malformed JSON")
+
+
+def test_cli_non_rational_coefficient_exit_64(tmp_path):
+    doc = cli.mb_to_json(cat.h1_mb())
+    doc["num"][0]["coeffs"] = {"z": "abc"}
+    path = tmp_path / "h1.json"
+    path.write_text(json.dumps(doc))
+    _assert_usage_error(*run_cli("mb", "--file", str(path), "--param", "a=1",
+                                 "--param", "b=1"), "'abc'")
+
+
+def test_cli_bad_config_value_and_number_exit_64(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("tol=small\n")
+    _assert_usage_error(*run_cli("box", "--n", "1", "--s", "1", "--method", "closed",
+                                 "--config", str(cfg)), "'small'")
+    _assert_usage_error(*run_cli("box", "--n", "1", "--s", "x/2"), "'x/2'")

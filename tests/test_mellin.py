@@ -7,6 +7,7 @@ import pytest
 from mbeval import catalog as cat
 from mbeval import mellin as ml
 from mbeval.errors import InfeasibleContour, NegativeDimension
+from mbeval.gammafn import clgamma
 from mbeval.symcore import GammaFactor, LinearForm
 
 L = LinearForm
@@ -188,3 +189,173 @@ def test_infeasible_contour_is_final():
     with pytest.raises(InfeasibleContour):
         ml.choose_contour(mb2, {"x": 1})
     ml.choose_contour(mb, {"x": 1})
+
+
+# ---------------------------------------------------------------------------
+# open grids and folded gamma ratios against the dense, unfolded evaluation
+
+
+class _DenseUnfolded(ml._NumericIntegrand):
+    """Reference evaluation: every gamma factor is one clgamma call on the
+    dense node tensor, and no Gamma(a)/Gamma(a+m) pair is folded."""
+
+    def __init__(self, mb, param_values):
+        super().__init__(mb, param_values)
+        vals = {k: float(v) for k, v in param_values.items()}
+        self.gamma_terms = []
+        for g in mb.gammas:
+            coefs = np.array([float(g.arg.coeff(z)) for z in mb.zsyms])
+            rest = L({k: v for k, v in g.arg.coeffs.items()
+                      if k not in set(mb.zsyms)}, g.arg.const)
+            self.gamma_terms.append((float(rest.evaluate(vals)), coefs, g.mult))
+        self.ratio_terms = []
+
+    def log_value(self, zs):
+        zs = np.broadcast_arrays(*zs)
+        lg = np.zeros(zs[0].shape, dtype=complex)
+        for b0, coefs, mult in self.gamma_terms:
+            arg = b0 + sum(c * z for c, z in zip(coefs, zs) if c != 0.0)
+            lg = lg + mult * clgamma(arg)
+        for lb, e0, coefs in self.pow_terms:
+            ee = e0 + sum(c * z for c, z in zip(coefs, zs) if c != 0.0)
+            lg = lg + lb * ee
+        return lg + self.log_pref
+
+
+FOLD_RTOL = 1e-13
+
+# the integrands of acceptance criterion 11, with the tol each is run at here
+# (None: too slow against the dense reference, so checked on sampled nodes)
+CRITERION_11 = [
+    ("h1", lambda: cat.h1_mb(), {"a": 1.0, "b": 2.0}, 1e-9),
+    ("ising3", lambda: cat.ising_mb(3), {"k": 1.0}, 1e-9),
+    ("ising4", lambda: cat.ising_mb(4), {"k": 1.0}, 1e-9),
+    ("ising5", lambda: cat.ising_mb(5), {"k": 1.0}, 1e-9),
+    ("c5_param", lambda: cat.c5_param_mb(), {"k": 1.0, "alpha": 0.5, "beta": 0.5}, 1e-9),
+    ("ising_param3", lambda: cat.ising_param_mb(3),
+     {"k": 1.0, "al": 0.5, "be": 1 / 3, "ga": 0.25}, 1e-9),
+    ("ising_param4", lambda: cat.ising_param_mb(4),
+     {"k": 2.0, "al": 0.5, "be": 1 / 3, "ga": 0.25, "de": 0.6}, 1e-9),
+    ("box_j1", lambda: cat.box_j_mb(1)[0], {"s": -0.5}, 1e-9),
+    ("box_j2", lambda: cat.box_j_mb(2)[0], {"s": -0.5}, 1e-7),
+    ("box_j3", lambda: cat.box_j_mb(3)[0], {"s": -0.5}, None),
+]
+FOLDED = {"box_j1", "box_j2", "box_j3"}
+IDS = [c[0] for c in CRITERION_11]
+
+
+def _open_grid(ct, n_per_axis, seed=0):
+    rng = np.random.default_rng(seed)
+    ys = [np.sort(rng.uniform(-12.0, 12.0, n_per_axis)) for _ in ct.c]
+    return [float(c) + 1j * g
+            for c, g in zip(ct.c, np.meshgrid(*ys, indexing="ij", sparse=True))]
+
+
+@pytest.mark.parametrize("name,build,pv,tol", CRITERION_11, ids=IDS)
+def test_open_grid_folded_matches_dense_unfolded(name, build, pv, tol, monkeypatch):
+    mb = build()
+    ct = ml.choose_contour(mb, pv)
+    fast, ref = ml._NumericIntegrand(mb, pv), _DenseUnfolded(mb, pv)
+    assert bool(fast.ratio_terms) == (name in FOLDED)
+    zs = _open_grid(ct, 9)
+    v_open = fast.value(zs)
+    assert v_open.shape == (9,) * mb.dim
+    assert np.array_equal(v_open, fast.value(np.broadcast_arrays(*zs)))
+    if name not in FOLDED:
+        assert np.array_equal(v_open, ref.value(zs))
+    if tol is None:
+        return
+    r_fast = ml.eval_contour(mb, pv, ct, tol)
+    monkeypatch.setattr(ml, "_NumericIntegrand", _DenseUnfolded)
+    r_ref = ml.eval_contour(mb, pv, ct, tol)
+    assert r_fast.diagnostics["nodes"] == r_ref.diagnostics["nodes"]
+    if name in FOLDED:
+        assert abs(r_fast.value - r_ref.value) <= FOLD_RTOL * abs(r_ref.value)
+    else:
+        assert (r_fast.value, r_fast.abs_err_est, r_fast.diagnostics) \
+            == (r_ref.value, r_ref.abs_err_est, r_ref.diagnostics)
+
+
+def _mp_value(mb, pv, zpt):
+    """The integrand at one point, from mpmath log-gammas at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        q = lambda x: mp.mpf(x.numerator) / x.denominator
+        vals = {k: mp.mpf(v) for k, v in pv.items()}
+        vals.update({z: mp.mpc(v) for z, v in zip(mb.zsyms, zpt)})
+
+        def ev(form):
+            return q(form.const) + sum(q(c) * vals[k] for k, c in form.coeffs.items())
+        out = q(mb.prefactor)
+        for g in mb.pref_gammas:
+            out *= mp.gamma(ev(g.arg)) ** g.mult
+        lg = sum(g.mult * mp.loggamma(ev(g.arg)) for g in mb.gammas)
+        lg += sum(ev(e) * mp.log(vals[name]) for name, e in mb.powers)
+        lg += sum(ev(e) * mp.log(q(base)) for base, e in mb.base_powers)
+        return complex(out * mp.exp(lg))
+
+
+# clgamma is good to about 1e-13 relative per factor (1e-12 for the dozen
+# factors of box_j3) on these strips; folding must not add to that
+@pytest.mark.parametrize("name,build,pv,tol",
+                         [c for c in CRITERION_11 if c[0] in FOLDED],
+                         ids=sorted(FOLDED))
+def test_folded_integrands_against_mpmath(name, build, pv, tol):
+    mb = build()
+    ct = ml.choose_contour(mb, pv)
+    f = ml._NumericIntegrand(mb, pv)
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        zpt = [float(c) + 1j * rng.uniform(-12.0, 12.0) for c in ct.c]
+        exact = _mp_value(mb, pv, zpt)
+        got = f.value([np.array([z]) for z in zpt])[0]
+        assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+def test_fold_gamma_ratios_pairs_only_exact_integer_shifts():
+    z = L.symbol("z")
+    G = GammaFactor
+    # Gamma(2z+1)/Gamma(2z+2) = 1/(2z+1)
+    rest, pairs = ml._fold_gamma_ratios([G(2 * z + 1, 1), G(2 * z + 2, -1)])
+    assert rest == [] and pairs == [(2 * z + 1, 1, 1)]
+    # Gamma(z+3)/Gamma(z) = z(z+1)(z+2), the pair listed high argument first
+    rest, pairs = ml._fold_gamma_ratios([G(z + 3, 1), G(-z, 1), G(z, -1)])
+    assert rest == [G(-z, 1)] and pairs == [(z, 3, -1)]
+    for unfoldable in (
+            [G(z, 1), G(z + F(1, 2), -1)],        # shift not an integer
+            [G(z, 2), G(z + 1, -1)],              # multiplicities differ
+            [G(z, 1), G(z + 1, 1)],               # both in the numerator
+            [G(z, 1), G(2 * z + 1, -1)],          # shift depends on z
+            [G(L({"z": 1, "s": 1}), 1), G(z + 1, -1)]):   # shift depends on s
+        rest, pairs = ml._fold_gamma_ratios(unfoldable)
+        assert rest == unfoldable and pairs == []
+
+
+def test_folded_pair_values_match_gamma_ratios():
+    # pairs with m = 3, p = 2; m = 1, p = 1; and m = 1, p = 1 with a
+    # parameter in the argument
+    z = L.symbol("z")
+    G = GammaFactor
+    mb = ml.MBIntegrand(
+        zsyms=("z",), prefactor=F(1), pref_gammas=(), base_powers=(),
+        powers=(("x", z),),
+        gammas=(G(z + F(1, 2), 2), G(z + F(7, 2), -2), G(-z, 1), G(-z + 1, -1),
+                G(L({"z": -1, "s": 1}), 1), G(L({"z": -1, "s": 1}, 1), -1)),
+        params=("x", "s"))
+    pv = {"x": 0.7, "s": 0.3}
+    f = ml._NumericIntegrand(mb, pv)
+    assert [t[2:] for t in f.ratio_terms] == [(3, 2), (1, 1), (1, 1)]
+    assert f.gamma_terms == []
+    for y in np.linspace(-20.0, 20.0, 41):
+        zpt = [complex(-0.2, y)]
+        exact = _mp_value(mb, pv, zpt)
+        assert abs(f.value([np.array(zpt)])[0] - exact) <= 1e-14 * abs(exact)
+
+
+def test_unfoldable_pair_stays_two_gamma_factors():
+    z = L.symbol("z")
+    mb = ml.MBIntegrand(
+        zsyms=("z",), prefactor=F(1), pref_gammas=(), base_powers=(), powers=(),
+        gammas=(GammaFactor(z, 2), GammaFactor(z + 1, -1)), params=())
+    f = ml._NumericIntegrand(mb, {})
+    assert f.ratio_terms == [] and len(f.gamma_terms) == 2
