@@ -309,7 +309,7 @@ def box_b(n: int, s: float, method: str = "auto", tol: float = 1e-8,
     """Box integral B_n(s); methods: closed / contour / oracle (n=3 also has the
     one-dimensional representation as its oracle)."""
     if n < 1:
-        raise ValueError("n >= 1")
+        raise DomainError(f"box integrals need n >= 1, not {n}")
     if s == -float(n):
         raise PoleError(f"B_{n}(s) has a pole at s = -{n}")
     if method == "auto":
@@ -399,7 +399,7 @@ def delta(n: int, s: float, method: str = "relation", tol: float = 1e-6,
           seed: int = 0, b5_method: str = "oracle") -> EvalResult:
     """Distance moments Delta_n(s) via the closed relations in B_2..B_5."""
     if n < 1 or n > 5:
-        raise ValueError("Delta relations wired for n = 1..5")
+        raise DomainError(f"Delta relations wired for n = 1..5, not {n}")
     for j in range(0, 9, 2):
         if s + j in (-1.0, -2.0, -3.0, -4.0, -5.0) and s + j == -(min(n, j // 2 + 1)):
             raise PoleError(f"shifted argument s+{j} hits a pole")
@@ -425,7 +425,7 @@ def jellium(n: int, method: str = "auto", tol: float = 1e-8,
             seed: int = 0) -> EvalResult:
     """Jellium constant J_n = 2^(n-2) (1 - B_n(2-n)) for n > 2."""
     if n < 3:
-        raise ValueError("the box relation applies for n >= 3")
+        raise DomainError(f"the box relation applies for n >= 3, not {n}")
     if method == "closed" and n == 3:
         v = math.pi / 2.0 + 2.0 - 6.0 * math.atanh(1.0 / math.sqrt(3.0))
         return EvalResult(v, 1e-15, "closed", {})
@@ -486,7 +486,7 @@ def ising_c(n: int, k: int, method: str = "auto", tol: float = 1e-8,
             seed: int = 0) -> EvalResult:
     """Ising moments C_{n,k} = 2^(n-k+1)/(n! k!) int t^k K0^n dt, n <= 5."""
     if not 1 <= n <= 5 or k < 0:
-        raise ValueError("need 1 <= n <= 5 and k >= 0")
+        raise DomainError(f"need 1 <= n <= 5 and k >= 0, not n={n}, k={k}")
     if method == "auto":
         return _first_route(("closed", "contour", "oracle"),
                             lambda m: ising_c(n, k, m, tol, seed))
@@ -512,7 +512,7 @@ def ising_c(n: int, k: int, method: str = "auto", tol: float = 1e-8,
 
 def _ising_param_check(n: int, exponents: Sequence[float]):
     if len(exponents) != n:
-        raise ValueError(f"need {n} exponents")
+        raise DomainError(f"need {n} exponents, not {len(exponents)}")
     if any(e <= 0 for e in exponents):
         raise DomainError("exponents must be positive")
 
@@ -548,7 +548,7 @@ def ising_c_param(n: int, k: int, exponents: Sequence[float],
     in the source material carry typos and are not used.
     """
     if n not in (3, 4):
-        raise ValueError("parametrized entries exist for n = 3, 4")
+        raise DomainError(f"parametrized entries exist for n = 3, 4, not {n}")
     _ising_param_check(n, exponents)
     names = _PARAM_NAMES[n]
     pv = {"k": float(k)}
@@ -651,6 +651,8 @@ def c5_param(k: int, alpha: float, beta: float, method: str = "auto",
     the residue series does not converge there, which is reported as no-cover)."""
     if alpha <= 0 or beta <= 0:
         raise DomainError("alpha, beta must be positive")
+    if k < 0:
+        raise DomainError(f"need k >= 0, not {k}")
     pv = {"k": float(k), "alpha": float(alpha), "beta": float(beta)}
     if method == "auto":
         return ml.eval_contour(c5_param_mb(), pv, tol=tol)
@@ -739,7 +741,7 @@ def ruby(l: int, d: float, a_list: Sequence[float], r_list: Sequence[float],
     if d <= 0:
         raise DomainError("d must be positive")
     if len(a_list) != len(r_list):
-        raise ValueError("a_list and R_list must have equal length")
+        raise DomainError(f"{len(a_list)} Bessel orders for {len(r_list)} radii")
     if l + sum(a_list) <= -1:
         raise DomainError("integral diverges at k = 0")
     if method == "auto":

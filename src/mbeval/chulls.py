@@ -4,7 +4,10 @@ For an N-fold integrand, every choice of N numerator gammas with nonsingular
 z-coefficient matrix A defines a pole lattice z(n) = -A^{-1}(b + n), n in N^N.
 The residue series over that lattice has terms built from the remaining gamma
 factors; coincident hyperplanes raise the pole order, which is handled by
-truncated-Taylor (jet) arithmetic on the gamma factors.  Series are grouped by
+truncated-Taylor (jet) arithmetic.  Every factor of a term is Gamma(v + g.eps)
+or p^(g.eps), whose log is a univariate series in the linear form g.eps, so a
+higher-order term is the exp of one summed log-jet, built from an index table
+per jet shape.  Series are grouped by
 whether their asymptotic ratio test accepts the requested parameter direction;
 the group covering the direction is summed shell-by-shell with compensated
 accumulation.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -36,150 +40,41 @@ MAX_JET_ORDER = 4  # module default; the CLI config may override
 # jets: dense truncated multivariate Taylor polynomials (tiny shapes)
 
 
-def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    it = np.ndindex(a.shape)
-    for ia in it:
-        ca = a[ia]
-        if ca == 0.0:
-            continue
-        sl = tuple(slice(0, s - i) for s, i in zip(a.shape, ia))
-        dst = tuple(slice(i, None) for i in ia)
-        out[dst] += ca * b[sl]
-    return out
-
-
-def _jet_from_linear(shape, const, grads) -> np.ndarray:
-    j = np.zeros(shape)
-    j[(0,) * len(shape)] = const
-    for axis, g in enumerate(grads):
-        if g != 0.0 and shape[axis] > 1:
-            idx = [0] * len(shape)
-            idx[axis] = 1
-            j[tuple(idx)] = g
-    return j
+@lru_cache(maxsize=None)
+def _jet_table(shape: tuple[int, ...]):
+    """Index tables of a jet of this shape, over its multi-indices alpha in C
+    order: alpha, |alpha|, the multinomial |alpha|!/alpha! (the coefficient
+    of eps^alpha in (g.eps)^|alpha| is multinomial * g^alpha), and the product
+    gather: (a*b).ravel() = append(a.ravel(), 0)[gather] @ b.ravel()."""
+    alphas = np.array(list(np.ndindex(shape)))
+    degrees = alphas.sum(axis=1)
+    multinomials = np.array([math.factorial(int(d)) / math.prod(
+        math.factorial(int(a)) for a in al) for d, al in zip(degrees, alphas)])
+    # (a*b)[i] = sum_j a[i - j] b[j]; where i - j leaves the jet, the gather
+    # reads the zero appended after a's entries
+    diff = alphas[:, None, :] - alphas[None, :, :]
+    flat = np.ravel_multi_index(tuple(np.moveaxis(np.maximum(diff, 0), 2, 0)), shape)
+    gather = np.where((diff >= 0).all(axis=2), flat, len(alphas))
+    return alphas, degrees, multinomials, gather
 
 
 def _jet_exp(a: np.ndarray) -> np.ndarray:
     """exp of a jet with zero constant term."""
-    out = np.zeros_like(a)
-    out[(0,) * a.ndim] = 1.0
-    term = out.copy()
-    order = sum(s - 1 for s in a.shape)
-    for m in range(1, order + 1):
-        term = _jet_mul(term, a) / m
+    mat = np.append(a.ravel(), 0.0)[_jet_table(a.shape)[3]]
+    term = np.zeros(a.size)
+    term[0] = 1.0
+    out = term.copy()
+    for m in range(1, sum(s - 1 for s in a.shape) + 1):
+        term = mat @ term / m
         out += term
-    return out
+    return out.reshape(a.shape)
 
 
-def _jet_inv(a: np.ndarray) -> np.ndarray:
-    """reciprocal of a jet with nonzero constant term (Newton iteration)."""
-    c0 = a[(0,) * a.ndim]
-    out = np.zeros_like(a)
-    out[(0,) * a.ndim] = 1.0 / c0
-    order = sum(s - 1 for s in a.shape)
-    steps = max(1, math.ceil(math.log2(order + 1)))
-    for _ in range(steps):
-        t = -_jet_mul(a, out)
-        t[(0,) * a.ndim] += 2.0
-        out = _jet_mul(out, t)
-    return out
-
-
-def _jet_pow_int(a: np.ndarray, m: int) -> np.ndarray:
-    if m < 0:
-        return _jet_pow_int(_jet_inv(a), -m)
-    out = np.zeros_like(a)
-    out[(0,) * a.ndim] = 1.0
-    base = a
-    while m:
-        if m & 1:
-            out = _jet_mul(out, base)
-        m >>= 1
-        if m:
-            base = _jet_mul(base, base)
-    return out
-
-
-def _lgamma_jet(shape, v: float, grads) -> tuple[float, np.ndarray]:
-    """(log Gamma(v), normalized jet of Gamma(v + l(eps))/Gamma(v)) for v > 0."""
-    order = sum(s - 1 for s in shape)
-    l = _jet_from_linear(shape, 0.0, grads)
-    acc = np.zeros(shape)
-    lp = l
-    for r in range(1, order + 1):
-        acc += polygamma(r - 1, v) / math.factorial(r) * lp
-        if r < order:
-            lp = _jet_mul(lp, l)
-    return math.lgamma(v), _jet_exp(acc)
-
-
-_SIN_SERIES = [1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0, 1.0 / 362880.0]
-
-
-def _gamma_jet(shape, v: Fraction, grads, axis_of_pole: int | None):
-    """Jet data for Gamma(v + l(eps)): (axis_laurent_orders, log_scale, sign, jet).
-
-    For v a nonpositive integer the factor must depend on exactly one axis; the
-    1/eps Laurent part is returned through axis_laurent_orders.
-    """
-    vf = float(v)
-    orders = [0] * len(shape)
-    if v.denominator == 1 and v <= 0:
-        axis = axis_of_pole
-        g = grads[axis]
-        mu = -int(v)
-        # Gamma(-mu + g e) = (-1)^mu * pi / (sin(pi g e) * Gamma(1 + mu - g e))
-        #                  = (-1)^mu / (g e) * S(pi g e)^-1 / (Gamma(1+mu-g e)/Gamma bits)
-        ls, jg = _lgamma_jet(shape, mu + 1.0,
-                             [-gg for gg in grads])
-        sin_j = np.zeros(shape)
-        x2 = np.zeros(shape)
-        if shape[axis] > 1:
-            idx = [0] * len(shape)
-            idx[axis] = 2
-            if shape[axis] > 2:
-                x2[tuple(idx)] = (math.pi * g) ** 2
-        sin_j[(0,) * len(shape)] = _SIN_SERIES[0]
-        p = x2.copy()
-        for c in _SIN_SERIES[1:]:
-            if not p.any():
-                break
-            sin_j += c * p
-            p = _jet_mul(p, x2)
-        jet = _jet_mul(_jet_inv(sin_j), _jet_inv(jg))
-        orders[axis] = -1
-        sign = (-1.0) ** mu * (1.0 if g > 0 else -1.0)
-        return orders, -ls - math.log(abs(g)), sign, jet
-    if vf > 0:
-        ls, jet = _lgamma_jet(shape, vf, grads)
-        return orders, ls, 1.0, jet
-    # negative non-integer: Gamma(v+l) = pi / (sin(pi(v+l)) Gamma(1-v-l))
-    ls, jg = _lgamma_jet(shape, 1.0 - vf, [-gg for gg in grads])
-    s0 = math.sin(math.pi * vf)
-    c0 = math.cos(math.pi * vf)
-    l = _jet_from_linear(shape, 0.0, [math.pi * gg for gg in grads])
-    l2 = _jet_mul(l, l)
-    # sin(pi v + x) = sin(pi v) cos x + cos(pi v) sin x
-    p = l2.copy()
-    cosx = np.zeros(shape)
-    cosx[(0,) * len(shape)] = 1.0
-    fac = 1.0
-    order = sum(s - 1 for s in shape)
-    for r in range(1, order // 2 + 1):
-        fac *= (2 * r - 1) * (2 * r)
-        cosx += (-1.0) ** r / fac * p
-        p = _jet_mul(p, l2)
-    sinx = l.copy()
-    p = _jet_mul(l, l2)
-    fac = 1.0
-    for r in range(1, (order - 1) // 2 + 1):
-        fac *= (2 * r) * (2 * r + 1)
-        sinx += (-1.0) ** r / fac * p
-        p = _jet_mul(p, l2)
-    sin_total = s0 * cosx + c0 * sinx
-    jet = _jet_mul(_jet_inv(sin_total / s0), _jet_inv(jg))
-    return orders, -math.log(abs(s0)) - ls, (1.0 if s0 > 0 else -1.0), jet
+# the log series of a gamma factor to degree r needs psi^(r-1); polygamma
+# stops at psi^(4)
+_MAX_LOG_ORDER = 5
+# log(sin y / y) = sum_r _LOG_SINC[r] y^r, to degree _MAX_LOG_ORDER
+_LOG_SINC = (0.0, 0.0, -1.0 / 6.0, 0.0, -1.0 / 180.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,46 +349,55 @@ def _term_value(series: ResidueSeries, m: tuple[int, ...],
         log_mag += float(e.evaluate(env)) * math.log(float(pvals[name]))
     for b, e, _ in series.term_bases:
         log_mag += float(e.evaluate(env)) * math.log(float(b))
-
-    if all(qi == 1 for qi in q):
-        # simple poles: plain signed log-gamma product
-        for v, grad, mult, axis in factors:
-            if axis is None:
-                lg, sg = gammaln_signed(float(v))
-                log_mag += mult * lg
-                if sg < 0 and mult % 2:
+    # plain signed log-gamma product: the whole term at simple poles, the
+    # scale of the jet at higher-order ones
+    for v, grad, mult, axis in factors:
+        if axis is None:
+            lg, sg = gammaln_signed(float(v))
+            log_mag += mult * lg
+            if sg < 0 and mult % 2:
+                sign = -sign
+        else:
+            mu = -int(v)
+            g = float(grad[axis])
+            log_mag += mult * (-math.lgamma(mu + 1.0) - math.log(abs(g)))
+            if (mu % 2 == 1) != (g < 0):
+                if mult % 2:
                     sign = -sign
-            else:
-                mu = -int(v)
-                g = float(grad[axis])
-                log_mag += mult * (-math.lgamma(mu + 1.0) - math.log(abs(g)))
-                if (mu % 2 == 1) != (g < 0):
-                    if mult % 2:
-                        sign = -sign
+    if all(qi == 1 for qi in q):
         return sign * math.exp(log_mag), tuple(q)
 
-    # higher-order point: jet product, residue = coefficient of eps^(q-1)
-    shape = tuple(qi for qi in q)
-    jet = np.zeros(shape)
-    jet[(0,) * n] = 1.0
-    for v, grad, mult, axis in factors:
-        fgrad = [float(g) for g in grad]
-        orders, ls, sg, fj = _gamma_jet(shape, v if isinstance(v, Fraction)
-                                        else Fraction(v), fgrad, axis)
-        log_mag += mult * ls
-        if sg < 0 and mult % 2:
-            sign = -sign
-        jet = _jet_mul(jet, _jet_pow_int(fj, mult))
-    # parameter powers contribute exp(log(p) * grad . eps) jets
+    # higher-order point: each factor is exp(mult * a univariate series in
+    # y = grad.eps), so the jet is exp of their sum; residue = coefficient of
+    # eps^(q-1)
+    order = sum(qi - 1 for qi in q)
+    if order > _MAX_LOG_ORDER:
+        raise JetOrderOverflow(f"total jet order {order} of pole order {q} exceeds "
+                               f"{_MAX_LOG_ORDER} at {m}")
+    rows = []
+    coefs = np.zeros((len(factors) + 1, order + 1))
+    for i, (v, grad, mult, axis) in enumerate(factors):
+        rows.append([float(g) for g in grad])
+        x = float(v) if axis is None else 1.0 - float(v)
+        for r in range(1, order + 1):
+            # log Gamma(x + y) - log Gamma(x) = sum_r psi^(r-1)(x) y^r / r!
+            c = polygamma(r - 1, x) / math.factorial(r)
+            if axis is not None:
+                # Gamma(-mu + y) = (-1)^mu / y * (pi y / sin(pi y)) / Gamma(1 + mu - y)
+                c = -_LOG_SINC[r] * math.pi ** r - (-1) ** r * c
+            coefs[i, r] = mult * c
+    # parameter and base powers contribute log(p) * grad.eps
+    lin = np.zeros(n)
     for name, e, grad in series.term_powers:
-        lp = math.log(float(pvals[name]))
-        l = _jet_from_linear(shape, 0.0, [lp * float(g) for g in grad])
-        jet = _jet_mul(jet, _jet_exp(l))
+        lin += math.log(float(pvals[name])) * np.array(grad, dtype=float)
     for b, e, grad in series.term_bases:
-        lb = math.log(float(b))
-        l = _jet_from_linear(shape, 0.0, [lb * float(g) for g in grad])
-        jet = _jet_mul(jet, _jet_exp(l))
-    top = jet[tuple(qi - 1 for qi in q)]
+        lin += math.log(float(b)) * np.array(grad, dtype=float)
+    rows.append(lin)
+    coefs[-1, 1] = 1.0
+    alphas, degrees, multinomials, _ = _jet_table(tuple(q))
+    monomials = np.prod(np.array(rows)[:, None, :] ** alphas, axis=2)
+    log_jet = multinomials * np.sum(coefs[:, degrees] * monomials, axis=0)
+    top = _jet_exp(log_jet.reshape(q))[tuple(qi - 1 for qi in q)]
     return sign * math.exp(log_mag) * top, tuple(q)
 
 

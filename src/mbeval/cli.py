@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from . import catalog as cat
@@ -213,7 +214,9 @@ def _add_common(p):
     p.add_argument("--json", dest="json_out", action="store_true", default=True)
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argparse parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="mbeval", add_help=True)
     sub = ap.add_subparsers(dest="cmd")
 

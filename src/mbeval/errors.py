@@ -17,8 +17,8 @@ class OutsideROC(EvalError):
     """Arguments outside the region of convergence of the series family."""
 
 
-class DomainError(EvalError):
-    """Argument outside a special function's domain."""
+class DomainError(EvalError, ValueError):
+    """Argument outside the domain of a special function or catalog entry."""
 
 
 class NoConvergence(EvalError):

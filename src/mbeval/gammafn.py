@@ -4,8 +4,8 @@ clgamma:   complex log-gamma, Lanczos (g=7, 9 terms), ~1e-13 relative on the str
            used by the contour integrator.  Branch is only stable modulo 2*pi*i,
            which is harmless because every consumer exponentiates integer multiples.
 gammaln_signed: log|Gamma| and sign for real non-pole arguments.
-polygamma: psi^(m) for m = 0..4 at positive real arguments (recurrence to x >= 16,
-           then the Bernoulli asymptotic series).
+polygamma: psi^(m) for m = 0..4 at real non-pole arguments (upward recurrence to
+           x >= 16, then the Bernoulli asymptotic series).
 """
 from __future__ import annotations
 
@@ -29,6 +29,10 @@ LOG_PI = 1.1447298858494001741434273513530587116
 
 # Bernoulli numbers B_2..B_14 for the psi asymptotics
 _BERN = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6)
+
+# B_2i (2i+m-1)!/(2i)!: the psi^(m) asymptotic coefficients for m = 1..4
+_PSI_ASYMPTOTIC = {m: tuple(b * math.factorial(2 * i + m - 1) / math.factorial(2 * i)
+                            for i, b in enumerate(_BERN, 1)) for m in range(1, 5)}
 
 EULER_GAMMA = 0.5772156649015328606065120900824024310
 
@@ -87,18 +91,16 @@ def gamma_signed(x: float) -> float:
 
 
 def polygamma(m: int, x: float) -> float:
-    """psi^(m)(x) for m = 0..4, x > 0."""
+    """psi^(m)(x) for m = 0..4 and real x other than 0, -1, -2, ..."""
     if m < 0 or m > 4:
         raise ValueError("order out of supported range 0..4")
-    if x <= 0:
-        raise ValueError("polygamma implemented for positive arguments only")
+    if x <= 0 and x == math.floor(x):
+        raise ValueError(f"polygamma pole at {x}")
     shift = 0.0
+    # psi^(m)(x) = psi^(m)(x+1) + (-1)^(m+1) m! / x^(m+1)
+    step = (-1.0) ** (m + 1) * math.factorial(m)
     while x < 16.0:
-        if m == 0:
-            shift -= 1.0 / x
-        else:
-            # psi^(m)(x) = psi^(m)(x+1) + (-1)^(m+1) m! / x^(m+1)
-            shift += (-1.0) ** (m + 1) * math.factorial(m) / x ** (m + 1)
+        shift += step / x ** (m + 1)
         x += 1.0
     if m == 0:
         s = math.log(x) - 0.5 / x
@@ -106,8 +108,8 @@ def polygamma(m: int, x: float) -> float:
             s -= b / (2 * i * x ** (2 * i))
     else:
         t = math.factorial(m - 1) / x ** m + math.factorial(m) / (2.0 * x ** (m + 1))
-        for i, b in enumerate(_BERN, 1):
-            t += b * math.factorial(2 * i + m - 1) / math.factorial(2 * i) / x ** (2 * i + m)
+        for i, c in enumerate(_PSI_ASYMPTOTIC[m], 1):
+            t += c / x ** (2 * i + m)
         s = (-1.0) ** (m - 1) * t
     return s + shift
 

@@ -208,3 +208,39 @@ def test_cli_bad_config_value_and_number_exit_64(tmp_path):
     _assert_usage_error(*run_cli("box", "--n", "1", "--s", "1", "--method", "closed",
                                  "--config", str(cfg)), "'small'")
     _assert_usage_error(*run_cli("box", "--n", "1", "--s", "x/2"), "'x/2'")
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("box", "--n", "0", "--s", "1"), "n >= 1"),
+    (("delta", "--n", "7", "--s", "1"), "n = 1..5"),
+    (("jellium", "--n", "2"), "n >= 3"),
+    (("ising", "--n", "7", "--k", "1"), "1 <= n <= 5"),
+    (("ising-param", "--n", "5", "--k", "1", "--exponents", "1,1,1,1,1"), "n = 3, 4"),
+    (("ising-param", "--n", "3", "--k", "1", "--exponents", "1/2,1/3"), "3 exponents"),
+    (("ruby", "--l", "0", "--d", "3", "--a", "1,1", "--R", "1"), "radii"),
+    (("c5", "--k", "-1", "--alpha", "1/25", "--beta", "1/25", "--method", "series"),
+     "k >= 0"),
+])
+def test_cli_out_of_range_arguments_exit_1(argv, needle):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert json.loads(out)["error"] == "DomainError"
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("evaluation error:") and needle in err
+
+
+def test_dispatch_reuses_one_parser_without_leaking_params(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "h1.json"
+    path.write_text(json.dumps(cli.mb_to_json(cat.h1_mb())))
+    base = ["mb", "--file", str(path), "--method", "contour", "--tol", "1e-6"]
+    rc = cli.dispatch(base + ["--param", "a=1", "--param", "b=2"])
+    first = json.loads(capsys.readouterr().out)
+    rc2 = cli.dispatch(base + ["--param", "b=1", "--param", "a=1"])
+    second = json.loads(capsys.readouterr().out)
+    assert rc == rc2 == 0
+    # a list shared between parses would put a=1, b=2 ahead of b=1, a=1
+    assert list(first["params"]["values"].items()) == [("a", 1.0), ("b", 2.0)]
+    assert list(second["params"]["values"].items()) == [("b", 1.0), ("a", 1.0)]
+    assert second["results"][0]["value"] == pytest.approx(math.pi ** 2 / 4, abs=1e-6)
