@@ -1,8 +1,9 @@
 """Command-line front end: evaluate catalog entries or user-supplied MB
 integrands (JSON), and run the cross-method verification suite.
 
-Exit codes: 0 success/pass, 1 evaluation error, 2 verification failure,
-64 usage error.  Reports are JSON on stdout; diagnostics go to stderr.
+Exit codes: 0 success/pass, 1 evaluation error, 2 verification failure (any
+report with "pass": false), 64 usage error.  Reports are JSON on stdout;
+diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -498,7 +499,7 @@ def dispatch(argv=None) -> int:
     ok = all(r.abs_err_est <= args.tol * 1.0000001 or r.abs_err_est <= 1e-12
              for _, r, _ in results)
     print(emit_report(entry, params, out, ok))
-    return 0
+    return 0 if ok else 2
 
 
 def main():

@@ -112,7 +112,3 @@ def polygamma(m: int, x: float) -> float:
             t += c / x ** (2 * i + m)
         s = (-1.0) ** (m - 1) * t
     return s + shift
-
-
-def digamma(x: float) -> float:
-    return polygamma(0, x)

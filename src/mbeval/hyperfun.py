@@ -329,25 +329,7 @@ def besselk0(t: float) -> float:
     The asymptotic series alone cannot reach 1e-12 relative until t ~ 18, so the
     mid range integrates exp(-t cosh u) with Gauss-Legendre panels instead.
     """
-    if t <= 0:
-        raise DomainError("besselk0 requires t > 0")
-    if t <= 2.0:
-        x2 = t * t / 4.0
-        i0 = 1.0
-        term = 1.0
-        k0sum = 0.0
-        h = 0.0
-        for j in range(1, 40):
-            term *= x2 / (j * j)
-            i0 += term
-            h += 1.0 / j
-            k0sum += term * h
-            if term < 1e-19:
-                break
-        return -(math.log(t / 2.0) + EULER_GAMMA) * i0 + k0sum
-    if t > 720.0:
-        return 0.0
-    return float(_k0_integral(np.array([t]))[0])
+    return float(besselk0_vec(np.array([t], dtype=float))[0])
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -394,19 +376,32 @@ def _k0_integral(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _k0_series(t: np.ndarray) -> np.ndarray:
+    # the ascending series for 0 < t <= 2, the same bits as a scalar loop over
+    # j that stops after the first term below 1e-19 (j <= 13 for x2 <= 1):
+    # the products and sums run in that loop's order (accumulate is sequential)
+    if np.any(t <= 0):
+        raise DomainError("besselk0 requires t > 0")
+    j = np.arange(1, 16)
+    terms = np.ones((len(j) + 1, len(t)))
+    np.cumprod((t * t / 4.0) / (j * j)[:, None], axis=0, out=terms[1:])
+    i0 = np.cumsum(terms, axis=0)
+    k0sum = np.cumsum(terms[1:] * np.cumsum(1.0 / j)[:, None], axis=0)
+    stop = np.argmax(terms[1:] < 1e-19, axis=0)
+    cols = np.arange(len(t))
+    # math.log, not np.log, which differs from it in the last bit at some t
+    log = np.array([math.log(x) for x in t / 2.0])
+    return -(log + EULER_GAMMA) * i0[stop + 1, cols] + k0sum[stop, cols]
+
+
 def besselk0_vec(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = t <= 2.0
+    out = np.zeros_like(t)
+    small, mid = t <= 2.0, (t > 2.0) & (t <= 720.0)
     if np.any(small):
-        out[small] = np.array([besselk0(tt) for tt in t[small]])
-    if np.any(~small):
-        big = t[~small]
-        res = np.zeros_like(big)
-        ok = big <= 720.0
-        if np.any(ok):
-            res[ok] = _k0_integral(big[ok])
-        out[~small] = res
+        out[small] = _k0_series(t[small])
+    if np.any(mid):
+        out[mid] = _k0_integral(t[mid])
     return out
 
 

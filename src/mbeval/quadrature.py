@@ -4,12 +4,17 @@ and quasi-Monte-Carlo cube integration.
 These are the cross-check side of every dual-route test in the catalog; they
 share no code path with the contour or residue-series evaluators beyond the
 K0 kernel itself.
+
+The cube integral builds one table of unshifted Sobol integers per point
+count n, shares it across its eight digital shifts (each shift is one XOR
+into the table), and extends it by one doubling step when n doubles.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,38 +175,50 @@ _JOE_KUO = {
 _SOBOL_BITS = 31
 
 
-def _direction_numbers(dim: int) -> np.ndarray:
-    v = np.zeros(_SOBOL_BITS, dtype=np.int64)
+@lru_cache(maxsize=None)
+def _direction_numbers(dim: int) -> tuple[int, ...]:
     if dim == 1:
-        for j in range(_SOBOL_BITS):
-            v[j] = 1 << (_SOBOL_BITS - 1 - j)
-        return v
+        return tuple(1 << (_SOBOL_BITS - 1 - j) for j in range(_SOBOL_BITS))
     s, a, m = _JOE_KUO[dim]
-    for j in range(min(s, _SOBOL_BITS)):
-        v[j] = m[j] << (_SOBOL_BITS - 1 - j)
+    v = [m[j] << (_SOBOL_BITS - 1 - j) for j in range(s)]
     for j in range(s, _SOBOL_BITS):
-        v[j] = v[j - s] ^ (v[j - s] >> s)
+        x = v[j - s] ^ (v[j - s] >> s)
         for k in range(1, s):
             if (a >> (s - 1 - k)) & 1:
-                v[j] ^= v[j - k]
-    return v
+                x ^= v[j - k]
+        v.append(x)
+    return tuple(v)
+
+
+def _sobol_table(n: int, dim: int, table: np.ndarray | None = None) -> np.ndarray:
+    """Unshifted integers of the first n Gray-code Sobol points, (n, dim) uint32.
+
+    Built by doubling: in the reflected Gray code, rows 2^k..2^(k+1)-1 are
+    rows 2^k-1..0 XOR the k-th direction numbers.  Passing the table built
+    for a smaller power-of-two count extends it instead of rebuilding it.
+    """
+    if dim < 1 or dim > 10:
+        raise ValueError("sobol_points supports 1 <= dim <= 10")
+    vs = np.array([_direction_numbers(d + 1) for d in range(dim)], dtype=np.uint32).T
+    x = np.empty((1 << (n - 1).bit_length(), dim), dtype=np.uint32)
+    m = 1 if table is None else len(table)
+    x[:m] = 0 if table is None else table
+    while m < len(x):
+        np.bitwise_xor(x[m - 1::-1], vs[m.bit_length() - 1], out=x[m:2 * m])
+        m *= 2
+    return x[:n]
+
+
+def _to_unit(ints: np.ndarray) -> np.ndarray:
+    pts = ints + 0.5
+    pts /= float(1 << _SOBOL_BITS)
+    return pts
 
 
 def sobol_points(n: int, dim: int, shift: np.ndarray | None = None) -> np.ndarray:
     """First n Gray-code Sobol points in [0,1)^dim, optionally digitally shifted."""
-    if dim < 1 or dim > 10:
-        raise ValueError("sobol_points supports 1 <= dim <= 10")
-    vs = np.stack([_direction_numbers(d + 1) for d in range(dim)])  # (dim, bits)
-    idx = np.arange(n, dtype=np.int64)
-    gray = idx ^ (idx >> 1)
-    out = np.zeros((n, dim), dtype=np.int64)
-    for b in range(max(n - 1, 1).bit_length()):
-        mask = ((gray >> b) & 1).astype(bool)
-        if mask.any():
-            out[mask] ^= vs[None, :, b][0]
-    if shift is not None:
-        out ^= shift[None, :]
-    return (out + 0.5) / float(1 << _SOBOL_BITS)
+    table = _sobol_table(n, dim)
+    return _to_unit(table if shift is None else table ^ shift)
 
 
 _N_SHIFTS = 8
@@ -225,30 +242,26 @@ def cube_integral(n_dims: int, kernel: str, s: float, tol: float = 1e-6,
         raise PoleProximity(f"s={s} within 0.05 of the pole s=-{n_dims}")
 
     rng = np.random.default_rng(seed)
-    shifts = rng.integers(0, 1 << _SOBOL_BITS, size=(_N_SHIFTS, dim), dtype=np.int64)
+    shifts = rng.integers(0, 1 << _SOBOL_BITS, size=(_N_SHIFTS, dim),
+                          dtype=np.int64).astype(np.uint32)
 
     def kernel_mean(pts: np.ndarray) -> float:
-        if kernel == "B":
-            r2 = np.sum(pts * pts, axis=1)
-        else:
-            d = pts[:, :n_dims] - pts[:, n_dims:]
-            r2 = np.sum(d * d, axis=1)
-        return float(np.mean(r2 ** (s / 2.0)))
+        d = pts if kernel == "B" else pts[:, :n_dims] - pts[:, n_dims:]
+        return float(np.mean(np.sum(d * d, axis=1) ** (s / 2.0)))
 
     n = 1 << 13
     n_cap = 1 << 19
     evals = 0
+    table = _sobol_table(n, dim)
     while True:
-        means = []
-        for j in range(_N_SHIFTS):
-            pts = sobol_points(n, dim, shifts[j])
-            means.append(kernel_mean(pts))
-            evals += n
+        means = [kernel_mean(_to_unit(table ^ shift)) for shift in shifts]
+        evals += _N_SHIFTS * n
         value = float(np.mean(means))
         err = float(np.std(means, ddof=1) / math.sqrt(_N_SHIFTS)) * 1.5
         if err <= tol or n >= n_cap:
             break
         n *= 2
+        table = _sobol_table(n, dim, table)
     if err > tol * 4.0 and err > 1e-5:
         raise NoConvergence(f"QMC error estimate {err:.2e} above tolerance {tol:.2e}")
     return QuadResult(value=value, abs_err_est=max(err, 1e-9), evals=evals,

@@ -10,8 +10,3 @@ class EvalResult:
     abs_err_est: float
     method: str
     diagnostics: dict = field(default_factory=dict)
-
-    def require(self, tol: float) -> "EvalResult":
-        if self.abs_err_est > tol:
-            raise ValueError(f"error estimate {self.abs_err_est:.3e} exceeds {tol:.3e}")
-        return self

@@ -154,6 +154,18 @@ def test_cli_config_jet_and_budget(tmp_path):
     assert code == 0
 
 
+def test_cli_report_that_fails_its_tol_exits_two():
+    # the Delta_4 relation takes a QMC estimate above this tol (cube_integral
+    # returns it without raising); the report says "pass": false and so must
+    # the exit code, with stdout unchanged
+    code, out, _ = run_cli("delta", "--n", "4", "--s", "1", "--tol", "2e-5")
+    assert code == 2
+    assert out == ('{"schema":1,"entry":"delta","params":{"n":4,"s":1.0},"results":'
+                   '[{"method":"relation","value":0.777639392069062,'
+                   '"abs_err_est":0.000384}],"pass":false}\n')
+    assert json.loads(out)["pass"] is False
+
+
 def _dispatch_report(argv, capsys):
     rc = cli.dispatch(argv)
     out = capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 from mbeval import hyperfun as hf
 from mbeval import quadrature as qd
 from mbeval.errors import DivergentArgument, DomainError, LowerPole, OutsideROC
-from mbeval.gammafn import clgamma, gammaln_signed, polygamma
+from mbeval.gammafn import EULER_GAMMA, clgamma, gammaln_signed, polygamma
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +233,41 @@ def test_besselk0_against_cosh_integral():
                        (0.0, math.acosh(60.0 / t) if t < 60 else 3.0), 1e-14)
         assert hf.besselk0(t) == pytest.approx(q.value, rel=2e-12)
     assert hf.besselk0(1.0) == pytest.approx(0.421024438, abs=1e-9)
+
+
+def _besselk0_series_ref(t):
+    # the scalar ascending series that besselk0 used for t <= 2
+    x2 = t * t / 4.0
+    i0, term, k0sum, h = 1.0, 1.0, 0.0, 0.0
+    for j in range(1, 40):
+        term *= x2 / (j * j)
+        i0 += term
+        h += 1.0 / j
+        k0sum += term * h
+        if term < 1e-19:
+            break
+    return -(math.log(t / 2.0) + EULER_GAMMA) * i0 + k0sum
+
+
+def test_besselk0_vec_small_t_matches_scalar_loop_bit_for_bit():
+    # the vectorised series against the scalar loop, on a geometric and a
+    # uniform grid of 40k points in (0, 2] plus random points, evaluated in
+    # one shuffled call together with points of the quadrature range
+    t = np.concatenate([np.geomspace(1e-12, 2.0, 20000),
+                        np.linspace(0.0, 2.0, 20001)[1:],
+                        np.random.default_rng(11).uniform(0.0, 2.0, 2000)])
+    mixed = np.append(t, [2.5, 5.0, 40.0, 719.0, 721.0])
+    perm = np.random.default_rng(12).permutation(len(mixed))
+    got = np.empty_like(mixed)
+    got[perm] = hf.besselk0_vec(mixed[perm])
+    want = np.array([_besselk0_series_ref(x) for x in t])
+    assert np.array_equal(got[:len(t)].view(np.int64), want.view(np.int64))
+    assert [hf.besselk0(x) for x in mixed[::97]] == list(got[::97])
+    assert got[-1] == 0.0
+    with pytest.raises(DomainError):
+        hf.besselk0_vec(np.array([1.0, 0.0]))
+    with pytest.raises(DomainError):
+        hf.besselk0(-1.0)
 
 
 def test_dilog_reflection_identity_sweep():

@@ -88,3 +88,95 @@ def test_sobol_points_stratification():
     assert np.all(pts > 0) and np.all(pts < 1)
     # first 2^k points balance each halving of every axis
     assert np.all(np.abs(np.mean(pts < 0.5, axis=0) - 0.5) < 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The point generator against the mask loop it replaced, kept as a reference
+
+
+def _direction_numbers_ref(dim):
+    v = np.zeros(31, dtype=np.int64)
+    if dim == 1:
+        for j in range(31):
+            v[j] = 1 << (30 - j)
+        return v
+    s, a, m = qd._JOE_KUO[dim]
+    for j in range(s):
+        v[j] = m[j] << (30 - j)
+    for j in range(s, 31):
+        v[j] = v[j - s] ^ (v[j - s] >> s)
+        for k in range(1, s):
+            if (a >> (s - 1 - k)) & 1:
+                v[j] ^= v[j - k]
+    return v
+
+
+def _sobol_points_ref(n, dim, shift=None):
+    vs = np.stack([_direction_numbers_ref(d + 1) for d in range(dim)])
+    idx = np.arange(n, dtype=np.int64)
+    gray = idx ^ (idx >> 1)
+    out = np.zeros((n, dim), dtype=np.int64)
+    for b in range(max(n - 1, 1).bit_length()):
+        mask = ((gray >> b) & 1).astype(bool)
+        if mask.any():
+            out[mask] ^= vs[None, :, b][0]
+    if shift is not None:
+        out ^= shift[None, :]
+    return (out + 0.5) / float(1 << 31)
+
+
+def _cube_integral_ref(n_dims, kernel, s, tol, seed=0):
+    dim = n_dims if kernel == "B" else 2 * n_dims
+    shifts = np.random.default_rng(seed).integers(0, 1 << 31, size=(8, dim), dtype=np.int64)
+    n, evals = 1 << 13, 0
+    while True:
+        means = []
+        for shift in shifts:
+            pts = _sobol_points_ref(n, dim, shift)
+            d = pts if kernel == "B" else pts[:, :n_dims] - pts[:, n_dims:]
+            means.append(float(np.mean(np.sum(d * d, axis=1) ** (s / 2.0))))
+            evals += n
+        value = float(np.mean(means))
+        err = float(np.std(means, ddof=1) / math.sqrt(8)) * 1.5
+        if err <= tol or n >= 1 << 19:
+            break
+        n *= 2
+    return value, max(err, 1e-9), evals, {"points_per_shift": n, "shifts": 8}
+
+
+def test_sobol_points_bit_identical_to_mask_loop():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 255, 256, 8193, 65536):
+        for dim in range(1, 11):
+            shift = rng.integers(0, 1 << 31, size=dim, dtype=np.int64)
+            for sh in (None, shift):
+                got = qd.sobol_points(n, dim, sh)
+                want = _sobol_points_ref(n, dim, sh)
+                assert got.shape == want.shape == (n, dim)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, dim, sh)
+
+
+def test_sobol_table_doubles_by_extension():
+    for dim in (1, 4, 10):
+        for n in (1, 2, 8192):
+            small = qd._sobol_table(n, dim)
+            big = qd._sobol_table(2 * n, dim)
+            assert big.dtype == np.uint32
+            assert np.array_equal(big[:n], small)
+            assert np.array_equal(qd._sobol_table(2 * n, dim, small), big)
+            assert np.array_equal(qd._sobol_table(8 * n, dim, small), qd._sobol_table(8 * n, dim))
+
+
+@pytest.mark.parametrize("n_dims,kernel,s,tol,seed", [
+    (1, "B", 1.0, 1e-6, 0),
+    (2, "B", 0.9, 2e-4, 457),
+    (5, "B", 1.8, 2e-4, 807),
+    (10, "B", -0.5, 1e-4, 3),
+    (1, "Delta", 0.48, 3e-3, 532),
+    (3, "Delta", 1.0, 1e-5, 0),  # doubles n three times, to 65536 points per shift
+    (5, "Delta", 2.0, 1e-4, 2),
+])
+def test_cube_integral_matches_mask_loop_reference(n_dims, kernel, s, tol, seed):
+    r = qd.cube_integral(n_dims, kernel, s, tol, seed)
+    assert (r.value, r.abs_err_est, r.evals, r.diagnostics) \
+        == _cube_integral_ref(n_dims, kernel, s, tol, seed)
