@@ -203,13 +203,11 @@ def _is_nonpositive_int(c: Rational) -> bool:
 
 
 def _classify(gammas: Sequence[GammaFactor], free: Sequence[str]) -> str:
-    free_set = set(free)
     numerator = [g.arg for g in gammas for _ in range(max(g.mult, 0))]
     for arg in numerator:
-        idx_coeffs = {k: v for k, v in arg.coeffs.items() if k in free_set}
-        rest = {k: v for k, v in arg.coeffs.items() if k not in free_set}
-        if len(idx_coeffs) == 1 and not rest:
-            (coef,) = idx_coeffs.values()
+        # a single free index and nothing else
+        if len(arg.coeffs) == 1 and arg.without(free).is_constant():
+            (coef,) = arg.coeffs.values()
             if coef == -1 and _is_nonpositive_int(arg.const):
                 return STATUS_DIVERGENT
     seen = set()
@@ -229,10 +227,7 @@ def solve_candidate(series: BracketSeries,
         raise ValueError(f"need {m} dependent indices")
     cols = list(series.indices)
     a = [[br.coeff(idx) for idx in cols] for br in series.brackets]
-    b = []
-    for br in series.brackets:
-        keep = {k: v for k, v in br.coeffs.items() if k not in set(cols)}
-        b.append(-LinearForm(keep, br.const))
+    b = [-br.without(cols) for br in series.brackets]
     sol = lin_solve(a, b, cols, list(dependent))
     free = tuple(i for i in series.indices if i not in set(dependent))
 

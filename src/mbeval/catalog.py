@@ -23,7 +23,7 @@ from . import mellin as ml
 from . import quadrature as qd
 from .errors import (DegenerateParameters, DomainError, InfeasibleContour,
                      MethodUnavailable, NoClosedForm, OutsideROC, PoleError,
-                     ResonantLattice)
+                     ResonantLattice, UsageError)
 from .gammafn import gamma_signed
 from .result import EvalResult
 from .symcore import GammaFactor, LinearForm, SymbolKind, SymbolTable
@@ -36,6 +36,12 @@ HALF = F(1, 2)
 # tries the next route
 _REFUSALS = (NoClosedForm, MethodUnavailable, DomainError, PoleError,
              InfeasibleContour)
+
+
+def _exact(x) -> Fraction:
+    """An exact parameter value: ints and Fractions as they are, a float as
+    the nearest fraction with denominator at most 1e9."""
+    return F(x).limit_denominator(10 ** 9) if isinstance(x, float) else F(x)
 
 
 def _first_route(routes: Sequence[str], evaluate) -> EvalResult:
@@ -330,8 +336,7 @@ def box_b(n: int, s: float, method: str = "auto", tol: float = 1e-8,
     raise MethodUnavailable(f"unknown method {method!r}")
 
 
-def _b_for_delta(n: int, s: float, tol: float, seed: int,
-                 b5_method: str = "oracle") -> tuple[float, float]:
+def _b_for_delta(n: int, s: float, tol: float, seed: int) -> tuple[float, float]:
     """(value, error) of a B-term feeding the Delta relations, cheapest
     reliable route first: exact even moments, closed forms, the B3 sec^2
     representation, the contour decomposition, QMC last."""
@@ -351,9 +356,6 @@ def _b_for_delta(n: int, s: float, tol: float, seed: int,
         r = qd.cube_integral(4, "B", s, 5e-7, seed=seed)
         return r.value, r.abs_err_est
     if n == 5:
-        if b5_method == "contour":
-            r = _box_contour(5, s, 1e-6)
-            return r.value, r.abs_err_est
         r = qd.cube_integral(5, "B", s, max(tol * 0.5, 5e-7), seed=seed)
         return r.value, r.abs_err_est
     raise ValueError(n)
@@ -396,8 +398,9 @@ def delta_b_terms(n: int, s: float) -> tuple[float, dict[tuple[int, float], floa
 
 
 def delta(n: int, s: float, method: str = "relation", tol: float = 1e-6,
-          seed: int = 0, b5_method: str = "oracle") -> EvalResult:
-    """Distance moments Delta_n(s) via the closed relations in B_2..B_5."""
+          seed: int = 0) -> EvalResult:
+    """Distance moments Delta_n(s) via the closed relations in B_2..B_5
+    (``auto`` is the relation)."""
     if n < 1 or n > 5:
         raise DomainError(f"Delta relations wired for n = 1..5, not {n}")
     for j in range(0, 9, 2):
@@ -407,18 +410,16 @@ def delta(n: int, s: float, method: str = "relation", tol: float = 1e-6,
         r = qd.cube_integral(n, "Delta", s, max(tol, 1e-6), seed=seed)
         return EvalResult(r.value, r.abs_err_est, "oracle",
                           {"qmc_points": r.diagnostics.get("points_per_shift")})
-    if method != "relation":
+    if method not in ("auto", "relation"):
         raise MethodUnavailable(f"unknown delta method {method!r}")
     const, terms = delta_b_terms(n, s)
     total = const
     err = 1e-14
     for (m, sigma), coef in sorted(terms.items()):
-        v, e = _b_for_delta(m, sigma, tol, seed, b5_method)
+        v, e = _b_for_delta(m, sigma, tol, seed)
         total += coef * v
         err += abs(coef) * e
-    return EvalResult(total, err, "relation",
-                      {"terms": len(terms),
-                       "b5_route": b5_method if n == 5 else None})
+    return EvalResult(total, err, "relation", {"terms": len(terms)})
 
 
 def jellium(n: int, method: str = "auto", tol: float = 1e-8,
@@ -522,15 +523,12 @@ def _ising_param_degenerate(n: int, k, exponents) -> bool:
     mb = ising_param_mb(n)
     vals = {"k": F(k)}
     for nm, e in zip(_PARAM_NAMES[n], exponents):
-        vals[nm] = F(e) if not isinstance(e, float) else F(e).limit_denominator(10 ** 9)
+        vals[nm] = _exact(e)
     args = []
     for g in mb.gammas:
         if g.mult <= 0:
             continue
-        zc = g.arg.coeff("z")
-        rest = LinearForm({kk: v for kk, v in g.arg.coeffs.items() if kk != "z"},
-                          g.arg.const)
-        args.append((zc, rest.evaluate(vals)))
+        args.append((g.arg.coeff("z"), g.arg.without(("z",)).evaluate(vals)))
     for i in range(len(args)):
         for j in range(i + 1, len(args)):
             zi, bi = args[i]
@@ -564,9 +562,7 @@ def ising_c_param(n: int, k: int, exponents: Sequence[float],
                 "pole families collide at this exponent point; use the contour")
         mb = ising_param_mb(n)
         pv_exact = {"k": F(k)}
-        pv_exact.update({nm: F(e) if not isinstance(e, float)
-                         else F(e).limit_denominator(10 ** 9)
-                         for nm, e in zip(names, exponents)})
+        pv_exact.update({nm: _exact(e) for nm, e in zip(names, exponents)})
         try:
             return ch.eval_mb_series(mb, pv_exact, tol)
         except ResonantLattice as exc:
@@ -654,16 +650,10 @@ def c5_param(k: int, alpha: float, beta: float, method: str = "auto",
     if k < 0:
         raise DomainError(f"need k >= 0, not {k}")
     pv = {"k": float(k), "alpha": float(alpha), "beta": float(beta)}
-    if method == "auto":
-        return ml.eval_contour(c5_param_mb(), pv, tol=tol)
-    if method == "contour":
+    if method in ("auto", "contour"):
         return ml.eval_contour(c5_param_mb(), pv, tol=tol)
     if method == "series":
-        pv_exact = {"k": F(k),
-                    "alpha": F(alpha) if not isinstance(alpha, float)
-                    else F(alpha).limit_denominator(10 ** 9),
-                    "beta": F(beta) if not isinstance(beta, float)
-                    else F(beta).limit_denominator(10 ** 9)}
+        pv_exact = {"k": F(k), "alpha": _exact(alpha), "beta": _exact(beta)}
         return ch.eval_mb_series(c5_param_mb(), pv_exact, tol)
     if method == "oracle":
         if alpha != 1.0 or beta != 1.0:
@@ -687,9 +677,7 @@ def h1(a: float, b: float, method: str = "auto", tol: float = 1e-8) -> EvalResul
     if method == "contour":
         return ml.eval_contour(h1_mb(), {"a": a, "b": b}, tol=tol)
     if method == "series":
-        pv = {"a": F(a) if not isinstance(a, float) else F(a).limit_denominator(10 ** 9),
-              "b": F(b) if not isinstance(b, float) else F(b).limit_denominator(10 ** 9)}
-        return ch.eval_mb_series(h1_mb(), pv, tol)
+        return ch.eval_mb_series(h1_mb(), {"a": _exact(a), "b": _exact(b)}, tol)
     if method == "oracle":
         def f(x):
             return hf.besselk0_vec(a * x) * hf.besselk0_vec(b * x)
@@ -825,60 +813,95 @@ def ruby_disk(d: float, r_detector: float, r_source: float,
 
 
 # ---------------------------------------------------------------------------
-# Table-1 style rational fit a*zeta(3) + b
+# the registry: each record is one CLI subcommand, its evaluation and its rows
+# of ``mbeval verify``
+
+
+def parse_rational(text: str) -> float:
+    """A rational flag value ("3/2", "-0.5", "1e-3") as the nearest float."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise UsageError(f"not a rational number: {text!r}") from None
+
+
+def parse_rationals(text: str) -> list[float]:
+    """Comma-separated rational flag values; the empty string is no values."""
+    return [parse_rational(x) for x in text.split(",")] if text else []
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A catalog family: id, parameter names, available methods, evaluator."""
+    """A catalog entry; ``id`` is also its CLI subcommand.
+
+    flags: (name, parser) or (name, parser, default) in report order.
+    evaluate: fn(params, method, tol, seed) -> EvalResult.  It looks the
+        catalog functions up in this module when called, so patching
+        ``catalog.<function>`` reaches it.
+    verify: rows (params, methods, suite, tol_floor); suite is "all" or
+        "full", and the methods run at max(tol, tol_floor).
+    """
     id: str
-    param_schema: tuple[str, ...]
-    methods: tuple[str, ...]
-    evaluate: object                      # fn(params: dict, method, tol, seed)
-    mb_builder: object = None             # fn(params) -> MBIntegrand, if any
-
-    def __post_init__(self):
-        if len(self.methods) < 2:
-            raise ValueError("every catalog entry needs at least two methods")
+    flags: tuple
+    evaluate: object
+    verify: tuple
 
 
-def entries() -> list[CatalogEntry]:
-    """Registry of the catalog families (each cross-checkable: >= 2 methods)."""
-    return [
-        CatalogEntry(
-            "h1", ("a", "b"), ("closed", "contour", "series", "oracle"),
-            lambda p, m, tol, seed: h1(p["a"], p["b"], m, tol),
-            lambda p: h1_mb()),
-        CatalogEntry(
-            "ising", ("n", "k"), ("closed", "contour", "series", "oracle"),
-            lambda p, m, tol, seed: ising_c(p["n"], p["k"], m, tol, seed),
-            lambda p: ising_mb(p["n"])),
-        CatalogEntry(
-            "ising-param", ("n", "k", "exponents"),
-            ("closed", "contour", "series", "oracle"),
-            lambda p, m, tol, seed: ising_c_param(p["n"], p["k"],
-                                                  p["exponents"], m, tol),
-            lambda p: ising_param_mb(p["n"])),
-        CatalogEntry(
-            "c5", ("k", "alpha", "beta"), ("contour", "series", "oracle"),
-            lambda p, m, tol, seed: c5_param(p["k"], p["alpha"], p["beta"],
-                                             m, tol),
-            lambda p: c5_param_mb()),
-        CatalogEntry(
-            "box", ("n", "s"), ("closed", "contour", "oracle"),
-            lambda p, m, tol, seed: box_b(p["n"], p["s"], m, tol, seed),
-            lambda p: box_j_mb(p["n"] - 1)[0]),
-        CatalogEntry(
-            "delta", ("n", "s"), ("relation", "oracle"),
-            lambda p, m, tol, seed: delta(p["n"], p["s"], m, tol, seed)),
-        CatalogEntry(
-            "jellium", ("n",), ("closed", "contour", "oracle"),
-            lambda p, m, tol, seed: jellium(p["n"], m, tol, seed)),
-        CatalogEntry(
-            "ruby", ("l", "d", "a", "R"), ("series", "ac-series", "oracle"),
-            lambda p, m, tol, seed: ruby(p["l"], p["d"], p["a"], p["R"],
-                                         m, tol)),
-    ]
+REGISTRY = (
+    CatalogEntry(
+        "h1", (("a", parse_rational), ("b", parse_rational)),
+        lambda p, m, tol, seed: h1(p["a"], p["b"], m, tol),
+        (({"a": 1.0, "b": 2.0}, ("closed", "contour", "oracle"), "all", 0.0),
+         ({"a": 1.0, "b": 0.5}, ("closed", "contour", "series"), "all", 0.0))),
+    CatalogEntry(
+        "ising", (("n", int), ("k", int)),
+        lambda p, m, tol, seed: ising_c(p["n"], p["k"], m, tol, seed),
+        (({"n": 1, "k": 3}, ("closed", "oracle"), "all", 0.0),
+         ({"n": 2, "k": 1}, ("closed", "oracle"), "all", 0.0),
+         ({"n": 3, "k": 1}, ("closed", "contour", "oracle"), "all", 0.0),
+         ({"n": 3, "k": 2}, ("contour", "series", "oracle"), "all", 0.0),
+         ({"n": 4, "k": 1}, ("closed", "contour", "oracle"), "all", 0.0),
+         ({"n": 5, "k": 1}, ("contour", "oracle"), "all", 0.0))),
+    CatalogEntry(
+        "ising-param", (("n", int), ("k", int), ("exponents", parse_rationals)),
+        lambda p, m, tol, seed: ising_c_param(p["n"], p["k"], p["exponents"], m, tol),
+        (({"n": 3, "k": 1, "exponents": [0.5, 1.0 / 3.0, 0.25]},
+          ("closed", "contour", "series", "oracle"), "all", 0.0),)),
+    CatalogEntry(
+        "c5", (("k", int), ("alpha", parse_rational), ("beta", parse_rational)),
+        lambda p, m, tol, seed: c5_param(p["k"], p["alpha"], p["beta"], m, tol),
+        (({"k": 1, "alpha": 0.04, "beta": 0.04}, ("contour", "series"), "all", 0.0),)),
+    CatalogEntry(
+        "box", (("n", int), ("s", parse_rational)),
+        lambda p, m, tol, seed: box_b(p["n"], p["s"], m, tol, seed),
+        (({"n": 2, "s": 1.0}, ("closed", "contour", "oracle"), "all", 0.0),
+         ({"n": 3, "s": 1.0}, ("contour", "oracle"), "all", 0.0),
+         ({"n": 3, "s": -1.0}, ("contour", "oracle"), "all", 0.0),
+         ({"n": 4, "s": 1.0}, ("contour", "oracle"), "full", 0.0))),
+    CatalogEntry(
+        "delta", (("n", int), ("s", parse_rational)),
+        lambda p, m, tol, seed: delta(p["n"], p["s"], m, tol, seed),
+        (({"n": 1, "s": 1.0}, ("relation", "oracle"), "all", 1e-6),
+         ({"n": 2, "s": 1.0}, ("relation", "oracle"), "all", 1e-6),
+         ({"n": 3, "s": 1.0}, ("relation", "oracle"), "all", 1e-6),
+         ({"n": 4, "s": 1.0}, ("relation", "oracle"), "full", 2e-5),
+         ({"n": 5, "s": 2.0}, ("relation", "oracle"), "full", 2e-5))),
+    CatalogEntry(
+        "jellium", (("n", int),),
+        lambda p, m, tol, seed: jellium(p["n"], m, tol, seed),
+        (({"n": 3}, ("closed", "contour"), "all", 1e-7),)),
+    CatalogEntry(
+        "ruby", (("l", int), ("d", parse_rational), ("a", parse_rationals, ""),
+                 ("R", parse_rationals, "")),
+        lambda p, m, tol, seed: ruby(p["l"], p["d"], p["a"], p["R"], m, tol),
+        (({"l": 0, "d": 3.0, "a": [1.0, 1.0], "R": [1.0, 1.0]}, ("series", "oracle"),
+          "all", 0.0),
+         ({"l": 0, "d": 2.0, "a": [0.0], "R": [1.0]}, ("series", "oracle"), "all", 0.0))),
+)
+
+
+# ---------------------------------------------------------------------------
+# Table-1 style rational fit a*zeta(3) + b
 
 
 def fit_zeta3(value: float, k: int, tol: float = 1e-13, p_cap: int = 4096):

@@ -33,7 +33,7 @@ from .mellin import MBIntegrand
 from .result import EvalResult
 from .symcore import LinearForm, Rational, SingularSystemError, mat_inverse, rat
 
-MAX_JET_ORDER = 4  # module default; the CLI config may override
+MAX_JET_ORDER = 4  # default highest jet order a residue term may need
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +104,7 @@ def enumerate_pole_subsets(mb: MBIntegrand) -> list[PoleSubset]:
         offs = []
         for _, g in combo:
             rows.append(tuple(g.arg.coeff(z) for z in mb.zsyms))
-            offs.append(LinearForm({k: v for k, v in g.arg.coeffs.items()
-                                    if k not in set(mb.zsyms)}, g.arg.const))
+            offs.append(g.arg.without(mb.zsyms))
         try:
             inv, det = mat_inverse([list(r) for r in rows])
         except SingularSystemError:

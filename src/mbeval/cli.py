@@ -1,6 +1,14 @@
 """Command-line front end: evaluate catalog entries or user-supplied MB
 integrands (JSON), and run the cross-method verification suite.
 
+Each record of ``catalog.REGISTRY`` is a subcommand: its flags become the
+subparser's options, its evaluator answers the call, and its verify rows make
+up ``verify --suite all`` (the "all" rows in registry order), ``--suite full``
+(those, then the "full" rows) and ``--suite <entry>`` (that entry's rows).
+``mb`` (an MB integrand from a JSON file) and ``verify`` are the two others.
+A ``--config`` file may set ``tol`` and ``seed`` and nothing else; a flag on
+the command line wins over it.
+
 Exit codes: 0 success/pass, 1 evaluation error, 2 verification failure (any
 report with "pass": false), 64 usage error.  Reports are JSON on stdout;
 diagnostics go to stderr.
@@ -57,22 +65,6 @@ def linform_from_string(text: str) -> LinearForm:
     return LinearForm(coeffs, const)
 
 
-def linform_to_string(form: LinearForm) -> str:
-    parts = []
-    for name in sorted(form.coeffs):
-        c = form.coeffs[name]
-        if c == 1:
-            parts.append(f"+{name}")
-        elif c == -1:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'}{abs(c)}*{name}")
-    if form.const != 0 or not parts:
-        parts.append(f"{'+' if form.const >= 0 else '-'}{abs(form.const)}")
-    out = "".join(parts)
-    return out[1:] if out.startswith("+") else out
-
-
 def mb_to_json(mb: ml.MBIntegrand) -> dict:
     def gamma_entry(g: GammaFactor, mult):
         coeffs = {k: str(v) for k, v in sorted(g.arg.coeffs.items())}
@@ -93,7 +85,7 @@ def mb_to_json(mb: ml.MBIntegrand) -> dict:
         "dim": mb.dim,
         "prefactor": {
             "rational": str(mb.prefactor),
-            "gammas": [{"arg_const": linform_to_string(g.arg), "mult": g.mult}
+            "gammas": [{"arg_const": repr(g.arg), "mult": g.mult}
                        for g in mb.pref_gammas],
         },
         "num": num,
@@ -174,13 +166,9 @@ def _result_entry(method: str, r: EvalResult, runtime_ms: float | None) -> dict:
     return out
 
 
-def emit_report(entry: str, params: dict, results: list[dict],
-                ok: bool | None = None) -> str:
-    doc = {"schema": SCHEMA, "entry": entry, "params": params,
-           "results": results}
-    if ok is not None:
-        doc["pass"] = bool(ok)
-    return json.dumps(doc, separators=(",", ":"), sort_keys=False)
+def emit_report(entry: str, params: dict, results: list[dict], ok: bool) -> str:
+    return json.dumps({"schema": SCHEMA, "entry": entry, "params": params,
+                       "results": results, "pass": bool(ok)}, separators=(",", ":"))
 
 
 def _pairwise_pass(results: list[tuple[str, EvalResult]]) -> tuple[bool, list[dict]]:
@@ -212,7 +200,6 @@ def _add_common(p):
                    help="include runtime_ms (breaks byte-reproducibility)")
     p.add_argument("--config", default=None,
                    help="key=value file with default tol/seed")
-    p.add_argument("--json", dest="json_out", action="store_true", default=True)
 
 
 @lru_cache(maxsize=None)
@@ -220,46 +207,13 @@ def build_parser():
     """The argparse parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="mbeval", add_help=True)
     sub = ap.add_subparsers(dest="cmd")
-
-    p = sub.add_parser("ising")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("ising-param")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--exponents", required=True,
-                   help="comma-separated, e.g. 1/2,1/3,1/4")
-    _add_common(p)
-
-    p = sub.add_parser("c5")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("box")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("delta")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", required=True)
-    p.add_argument("--b5-method", default="oracle", choices=["oracle", "contour"])
-    _add_common(p)
-
-    p = sub.add_parser("jellium")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("ruby")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--a", default="", help="comma-separated Bessel orders")
-    p.add_argument("--R", default="", help="comma-separated radii")
-    _add_common(p)
+    for entry in cat.REGISTRY:
+        p = sub.add_parser(entry.id)
+        for name, parse, *default in entry.flags:
+            p.add_argument(f"--{name}", type=parse, required=not default,
+                           default=default[0] if default else None)
+        p.set_defaults(entry=entry)
+        _add_common(p)
 
     p = sub.add_parser("mb")
     p.add_argument("--file", required=True)
@@ -271,14 +225,6 @@ def build_parser():
     p.add_argument("--suite", default="all")
     _add_common(p)
     return ap
-
-
-def _parse_number(text: str) -> float:
-    """A rational flag value ("3/2", "-0.5", "1e-3") as the nearest float."""
-    try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise UsageError(f"not a rational number: {text!r}") from None
 
 
 def _read_text(path: str, what: str) -> str:
@@ -299,178 +245,99 @@ def _read_json(path: str):
 
 def _apply_config(args):
     """Fill in tol and seed: a flag on the command line wins over the --config
-    file, which wins over the built-in default."""
+    file, which wins over the built-in default.  The file sets nothing else."""
     cfg = {}
     if args.config:
         for line in _read_text(args.config, "config file").splitlines():
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, val = line.split("=", 1)
+            key, eq, val = line.partition("=")
+            if not eq or key.strip() not in ("tol", "seed"):
+                raise UsageError(f"config file {args.config!r} sets only tol and "
+                                 f"seed, not {line!r}")
             cfg[key.strip()] = val.strip()
-    from . import chulls
     try:
         if args.tol is None:
             args.tol = float(cfg.get("tol", 1e-8))
         if args.seed is None:
             args.seed = int(cfg.get("seed", 0))
-        if "max_jet_order" in cfg:
-            chulls.MAX_JET_ORDER = int(cfg["max_jet_order"])
-        if "contour_node_budget" in cfg:
-            ml.DEFAULT_MAX_NODES = int(cfg["contour_node_budget"])
     except ValueError as e:
         raise UsageError(f"bad value in config file {args.config!r}: {e}") from None
     return args
 
 
-def _run_entry(args) -> tuple[str, dict, list[tuple[str, EvalResult]]]:
-    cmd = args.cmd
-    if cmd == "ising":
-        params = {"n": args.n, "k": args.k}
-        fn = lambda m: cat.ising_c(args.n, args.k, m, args.tol, args.seed)
-    elif cmd == "ising-param":
-        exps = [_parse_number(x) for x in args.exponents.split(",")]
-        params = {"n": args.n, "k": args.k, "exponents": exps}
-        fn = lambda m: cat.ising_c_param(args.n, args.k, exps, m, args.tol)
-    elif cmd == "c5":
-        al = _parse_number(args.alpha)
-        be = _parse_number(args.beta)
-        params = {"k": args.k, "alpha": al, "beta": be}
-        fn = lambda m: cat.c5_param(args.k, al, be, m, args.tol)
-    elif cmd == "box":
-        s = _parse_number(args.s)
-        params = {"n": args.n, "s": s}
-        fn = lambda m: cat.box_b(args.n, s, m, args.tol, args.seed)
-    elif cmd == "delta":
-        s = _parse_number(args.s)
-        params = {"n": args.n, "s": s}
-        fn = lambda m: cat.delta(args.n, s, "relation" if m == "auto" else m,
-                                 args.tol, args.seed, args.b5_method)
-    elif cmd == "jellium":
-        params = {"n": args.n}
-        fn = lambda m: cat.jellium(args.n, m, args.tol, args.seed)
-    elif cmd == "ruby":
-        a_list = [_parse_number(x) for x in args.a.split(",") if x]
-        r_list = [_parse_number(x) for x in args.R.split(",") if x]
-        d = _parse_number(args.d)
-        params = {"l": args.l, "d": d, "a": a_list, "R": r_list}
-        fn = lambda m: cat.ruby(args.l, d, a_list, r_list, m, args.tol)
-    elif cmd == "mb":
-        mb = mb_from_json(_read_json(args.file))
-        pv = {}
-        for spec_ in args.param:
-            name, eq, val = spec_.partition("=")
-            if not eq:
-                raise UsageError(f"--param wants name=value, not {spec_!r}")
-            pv[name] = _parse_number(val)
-        params = {"file": args.file, "values": pv}
+def _mb_call(args) -> tuple[dict, object]:
+    """The report params of ``mb`` and its evaluator fn(method)."""
+    mb = mb_from_json(_read_json(args.file))
+    pv = {}
+    for spec_ in args.param:
+        name, eq, val = spec_.partition("=")
+        if not eq:
+            raise UsageError(f"--param wants name=value, not {spec_!r}")
+        pv[name] = cat.parse_rational(val)
 
-        def fn(m):
-            if m in ("auto", "contour"):
-                return ml.eval_contour(mb, pv, tol=args.tol)
-            if m == "series":
-                from . import chulls
-                return chulls.eval_mb_series(
-                    mb, {k: Fraction(v) for k, v in pv.items()}, args.tol)
-            raise UsageError(f"mb supports contour/series, not {m!r}")
+    def evaluate(m):
+        if m in ("auto", "contour"):
+            return ml.eval_contour(mb, pv, tol=args.tol)
+        if m == "series":
+            from . import chulls
+            return chulls.eval_mb_series(
+                mb, {k: Fraction(v) for k, v in pv.items()}, args.tol)
+        raise UsageError(f"mb supports contour/series, not {m!r}")
+    return {"file": args.file, "values": pv}, evaluate
+
+
+def _run_entry(args) -> tuple[dict, EvalResult, float]:
+    """(report params, result, runtime in ms) of one subcommand call."""
+    if args.cmd == "mb":
+        params, evaluate = _mb_call(args)
     else:
-        raise UsageError("missing or unknown subcommand")
+        params = {flag[0]: getattr(args, flag[0]) for flag in args.entry.flags}
+        evaluate = lambda m: args.entry.evaluate(params, m, args.tol, args.seed)
     t0 = time.perf_counter()
-    result = fn(args.method)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return cmd, params, [(result.method, result, ms)]
+    result = evaluate(args.method)
+    return params, result, (time.perf_counter() - t0) * 1000.0
 
 
-_VERIFY_GRID = [
-    ("h1", {"a": 1.0, "b": 2.0}, ["closed", "contour", "oracle"]),
-    ("h1", {"a": 1.0, "b": 0.5}, ["closed", "contour", "series"]),
-    ("ising", {"n": 1, "k": 3}, ["closed", "oracle"]),
-    ("ising", {"n": 2, "k": 1}, ["closed", "oracle"]),
-    ("ising", {"n": 3, "k": 1}, ["closed", "contour", "oracle"]),
-    ("ising", {"n": 3, "k": 2}, ["contour", "series", "oracle"]),
-    ("ising", {"n": 4, "k": 1}, ["closed", "contour", "oracle"]),
-    ("ising", {"n": 5, "k": 1}, ["contour", "oracle"]),
-    ("ising-param", {"n": 3, "k": 1, "exponents": (0.5, 1.0 / 3.0, 0.25)},
-     ["closed", "contour", "series", "oracle"]),
-    ("c5", {"k": 1, "alpha": 0.04, "beta": 0.04}, ["contour", "series"]),
-    ("box", {"n": 2, "s": 1.0}, ["closed", "contour", "oracle"]),
-    ("box", {"n": 3, "s": 1.0}, ["contour", "oracle"]),
-    ("box", {"n": 3, "s": -1.0}, ["contour", "oracle"]),
-    ("delta", {"n": 1, "s": 1.0}, ["relation", "oracle"]),
-    ("delta", {"n": 2, "s": 1.0}, ["relation", "oracle"]),
-    ("delta", {"n": 3, "s": 1.0}, ["relation", "oracle"]),
-    ("jellium", {"n": 3}, ["closed", "contour"]),
-    ("ruby", {"l": 0, "d": 3.0, "a": (1.0, 1.0), "R": (1.0, 1.0)},
-     ["series", "oracle"]),
-    ("ruby", {"l": 0, "d": 2.0, "a": (0.0,), "R": (1.0,)},
-     ["series", "oracle"]),
-]
-
-_VERIFY_FULL_EXTRA = [
-    ("box", {"n": 4, "s": 1.0}, ["contour", "oracle"]),
-    ("delta", {"n": 4, "s": 1.0}, ["relation", "oracle"]),
-    ("delta", {"n": 5, "s": 2.0}, ["relation", "oracle"]),
-]
+def _verify_rows(suite: str) -> list:
+    """(entry, row) pairs of a suite: "all", then "full" adds its rows after
+    them; an entry id is that entry's rows."""
+    if suite in ("all", "full"):
+        suites = ("all", "full") if suite == "full" else ("all",)
+        return [(e, row) for s in suites
+                for e in cat.REGISTRY for row in e.verify if row[2] == s]
+    rows = [(e, row) for e in cat.REGISTRY if e.id == suite for row in e.verify]
+    if not rows:
+        raise UsageError(f"unknown suite {suite!r}")
+    return rows
 
 
-def _verify_eval(entry: str, params: dict, method: str, tol: float, seed: int):
-    if entry == "h1":
-        return cat.h1(params["a"], params["b"], method, tol)
-    if entry == "ising":
-        return cat.ising_c(params["n"], params["k"], method, tol, seed)
-    if entry == "ising-param":
-        return cat.ising_c_param(params["n"], params["k"],
-                                 list(params["exponents"]), method, tol)
-    if entry == "c5":
-        return cat.c5_param(params["k"], params["alpha"], params["beta"],
-                            method, tol)
-    if entry == "box":
-        return cat.box_b(params["n"], params["s"], method, tol, seed)
-    if entry == "delta":
-        t = max(tol, 2e-5) if params["n"] >= 4 else max(tol, 1e-6)
-        return cat.delta(params["n"], params["s"], method, t, seed)
-    if entry == "jellium":
-        return cat.jellium(params["n"], method, max(tol, 1e-7), seed)
-    if entry == "ruby":
-        return cat.ruby(params["l"], params["d"], list(params["a"]),
-                        list(params["R"]), method, tol)
-    raise UsageError(f"unknown verify entry {entry!r}")
-
-
-def run_verify(suite: str, tol: float, seed: int, timings: bool,
-               stream=sys.stdout) -> int:
-    grid = list(_VERIFY_GRID)
-    if suite == "full":
-        grid += _VERIFY_FULL_EXTRA
-    elif suite != "all":
-        grid = [g for g in grid + _VERIFY_FULL_EXTRA if g[0] == suite]
-        if not grid:
-            raise UsageError(f"unknown suite {suite!r}")
+def run_verify(suite: str, tol: float, seed: int, timings: bool) -> int:
     all_ok = True
     reports = []
-    for entry, params, methods in grid:
+    for entry, (params, methods, _, tol_floor) in _verify_rows(suite):
         results = []
         for m in methods:
             t0 = time.perf_counter()
-            r = _verify_eval(entry, params, m, tol, seed)
+            r = entry.evaluate(params, m, max(tol, tol_floor), seed)
             ms = (time.perf_counter() - t0) * 1000.0
             results.append((m, r, ms))
         ok, deltas = _pairwise_pass([(m, r) for m, r, _ in results])
         all_ok = all_ok and ok
         reports.append({
-            "entry": entry,
-            "params": {k: (list(v) if isinstance(v, tuple) else v)
-                       for k, v in params.items()},
+            "entry": entry.id,
+            "params": params,
             "results": [_result_entry(m, r, ms if timings else None)
                         for m, r, ms in results],
             "deltas": deltas,
             "pass": ok,
         })
-        print(f"verify {entry} {params}: {'PASS' if ok else 'FAIL'}",
+        print(f"verify {entry.id} {params}: {'PASS' if ok else 'FAIL'}",
               file=sys.stderr)
     doc = {"schema": SCHEMA, "entry": "verify", "suite": suite,
            "reports": reports, "pass": all_ok}
-    print(json.dumps(doc, separators=(",", ":")), file=stream)
+    print(json.dumps(doc, separators=(",", ":")))
     return 0 if all_ok else 2
 
 
@@ -483,7 +350,7 @@ def dispatch(argv=None) -> int:
         args = _apply_config(args)
         if args.cmd == "verify":
             return run_verify(args.suite, args.tol, args.seed, args.timings)
-        entry, params, results = _run_entry(args)
+        params, result, ms = _run_entry(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 64
@@ -494,11 +361,9 @@ def dispatch(argv=None) -> int:
                           "message": str(e)}, separators=(",", ":")))
         print(f"evaluation error: {e}", file=sys.stderr)
         return 1
-    out = [_result_entry(m, r, ms if args.timings else None)
-           for m, r, ms in results]
-    ok = all(r.abs_err_est <= args.tol * 1.0000001 or r.abs_err_est <= 1e-12
-             for _, r, _ in results)
-    print(emit_report(entry, params, out, ok))
+    out = [_result_entry(result.method, result, ms if args.timings else None)]
+    ok = result.abs_err_est <= args.tol * 1.0000001 or result.abs_err_est <= 1e-12
+    print(emit_report(args.cmd, params, out, ok))
     return 0 if ok else 2
 
 

@@ -496,20 +496,3 @@ def _besselj_miller(order: int, x: float) -> float:
         if (k - 1) % 2 == 0:
             norm += 2.0 * j if k - 1 > 0 else j
     return target / norm
-
-
-_SPECIAL = {
-    "zeta3": lambda arg: ZETA3,
-    "polygamma1": lambda arg: polygamma(1, arg),
-    "dilog": lambda arg: dilog(arg),
-    "erf": lambda arg: erf(arg),
-    "besselK0": lambda arg: besselk0(arg),
-    "ellipticK": lambda arg: ellipk(arg),
-}
-
-
-def special(name: str, arg=None):
-    """Named special values: zeta3, polygamma1, dilog, erf, besselK0, ellipticK."""
-    if name not in _SPECIAL:
-        raise DomainError(f"unknown special function {name!r}")
-    return _SPECIAL[name](arg)

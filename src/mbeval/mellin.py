@@ -86,10 +86,7 @@ def derive_mb(series: BracketSeries, contour_vars: Sequence[str],
             f"{len(series.brackets)} brackets cannot eliminate {len(dependent)} indices")
 
     a = [[br.coeff(i) for i in indices] for br in series.brackets]
-    b = []
-    for br in series.brackets:
-        keep = {k: v for k, v in br.coeffs.items() if k not in set(indices)}
-        b.append(-LinearForm(keep, br.const))
+    b = [-br.without(indices) for br in series.brackets]
     try:
         sol = lin_solve(a, b, indices, dependent)
     except SingularSystemError as e:
@@ -154,9 +151,7 @@ def choose_contour(mb: MBIntegrand, param_values: Mapping[str, object] | None = 
     rows = []  # (a_vec, b, margin_row)
     for g in mb.numerator_gammas():
         a_vec = [g.arg.coeff(z) for z in mb.zsyms]
-        rest = LinearForm({k: v for k, v in g.arg.coeffs.items()
-                           if k not in set(mb.zsyms)}, g.arg.const)
-        b_val = rat(rest.evaluate(params)) + rat(shifts.get(g.arg, 0))
+        b_val = rat(g.arg.without(mb.zsyms).evaluate(params)) + rat(shifts.get(g.arg, 0))
         rows.append((a_vec, b_val, True))
     if not rows:
         raise InfeasibleContour("integrand has no numerator gammas")
@@ -288,9 +283,7 @@ class _NumericIntegrand:
     def _split(form: LinearForm, zsyms, vals) -> tuple[float, np.ndarray]:
         """(value of the z-free part, coefficient vector over zsyms)."""
         coefs = np.array([float(form.coeff(z)) for z in zsyms])
-        rest = LinearForm({k: v for k, v in form.coeffs.items()
-                           if k not in set(zsyms)}, form.const)
-        return float(rest.evaluate(vals)), coefs
+        return float(form.without(zsyms).evaluate(vals)), coefs
 
     def axis_decay(self, i: int) -> float:
         """Exponential decay rate along Im z_i (Stirling envelope)."""

@@ -102,6 +102,12 @@ class LinearForm:
     def coeff(self, name: str) -> Rational:
         return self.coeffs.get(name, Fraction(0))
 
+    def without(self, names: Iterable[str]) -> "LinearForm":
+        """The form with the terms in ``names`` dropped; the constant stays."""
+        names = set(names)
+        return LinearForm({k: v for k, v in self.coeffs.items() if k not in names},
+                          self.const)
+
     def symbols(self) -> set[str]:
         return set(self.coeffs)
 

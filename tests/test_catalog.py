@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
 
 from mbeval import catalog as cat
+from mbeval import cli
 from mbeval import quadrature as qd
 from mbeval.errors import (DegenerateParameters, DomainError, MethodUnavailable,
                            NoClosedForm, NoCover, OutsideROC, PoleError,
@@ -443,15 +445,22 @@ def test_cross_method_grid():
                 assert abs(vals[i].value - vals[j].value) <= allow
 
 
-def test_catalog_entry_registry():
-    regs = cat.entries()
-    ids = [e.id for e in regs]
-    assert ids == ["h1", "ising", "ising-param", "c5", "box", "delta",
-                   "jellium", "ruby"]
-    for e in regs:
-        assert len(e.methods) >= 2
-    r = [e for e in regs if e.id == "box"][0]
-    out = r.evaluate({"n": 1, "s": 1.0}, "closed", 1e-9, 0)
-    assert out.value == 0.5
-    with pytest.raises(ValueError):
-        cat.CatalogEntry("bad", (), ("only-one",), None)
+def test_catalog_registry_drives_the_cli(capsys):
+    assert [e.id for e in cat.REGISTRY] == ["h1", "ising", "ising-param", "c5", "box",
+                                            "delta", "jellium", "ruby"]
+    for e in cat.REGISTRY:
+        # every entry is cross-checked by at least two routes in the default suite
+        assert any(suite == "all" and len(methods) >= 2
+                   for _, methods, suite, _ in e.verify)
+        # its first verify row, route by route, through the generated subcommand
+        params, methods, _, tol_floor = e.verify[0]
+        argv = [e.id, "--tol", str(max(1e-6, tol_floor))]
+        for name, value in params.items():
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [f"--{name}", text]
+        for m in methods:
+            assert cli.dispatch(argv + ["--method", m]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["entry"] == e.id and report["params"] == params
+            assert report["pass"] is True
+    assert cli.dispatch(["verify", "--suite", "nonsense"]) == 64

@@ -28,7 +28,7 @@ def test_linform_string_round_trip():
         ("5", L.constant(5)),
     ]:
         assert cli.linform_from_string(text) == form
-        assert cli.linform_from_string(cli.linform_to_string(form)) == form
+        assert cli.linform_from_string(repr(form)) == form
 
 
 def test_mb_json_round_trip_h1():
@@ -146,12 +146,28 @@ def test_verify_pairwise_gate_detects_disagreement():
     assert ok
 
 
-def test_cli_config_jet_and_budget(tmp_path):
+@pytest.mark.parametrize("line", ["max_jet_order=4", "contour_node_budget=60000000",
+                                  "tol"])
+def test_cli_config_sets_only_tol_and_seed(tmp_path, line):
     cfg = tmp_path / "cfg"
-    cfg.write_text("max_jet_order=4\ncontour_node_budget=60000000\ntol=1e-6\n")
-    code, out, _ = run_cli("jellium", "--n", "3", "--method", "closed",
-                           "--config", str(cfg))
-    assert code == 0
+    cfg.write_text(f"# defaults\n\ntol=1e-6\n{line}\nseed=1\n")
+    _assert_usage_error(*run_cli("jellium", "--n", "3", "--method", "closed",
+                                 "--config", str(cfg)), repr(line))
+
+
+def test_config_file_leaves_no_state_behind(tmp_path, capsys):
+    # a config file applies to its own call only: a later call without it
+    # evaluates exactly as an earlier one did
+    c5 = ["c5", "--k", "1", "--alpha", "1/25", "--beta", "1/25", "--method", "series"]
+    assert cli.dispatch(c5) == 0
+    first = capsys.readouterr().out
+    cfg = tmp_path / "cfg"
+    cfg.write_text("max_jet_order=1\n")
+    assert cli.dispatch(["jellium", "--n", "3", "--method", "closed",
+                         "--config", str(cfg)]) == 64
+    capsys.readouterr()
+    assert cli.dispatch(c5) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_cli_report_that_fails_its_tol_exits_two():
