@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -245,7 +246,8 @@ def _read_json(path: str):
 
 def _apply_config(args):
     """Fill in tol and seed: a flag on the command line wins over the --config
-    file, which wins over the built-in default.  The file sets nothing else."""
+    file, which wins over the built-in default.  The file sets nothing else.
+    Only a finite tol above 0 is accepted, from either source."""
     cfg = {}
     if args.config:
         for line in _read_text(args.config, "config file").splitlines():
@@ -264,6 +266,8 @@ def _apply_config(args):
             args.seed = int(cfg.get("seed", 0))
     except ValueError as e:
         raise UsageError(f"bad value in config file {args.config!r}: {e}") from None
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"tol must be a finite number above 0, not {args.tol}")
     return args
 
 

@@ -19,6 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, product
+from operator import mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -161,23 +164,15 @@ def choose_contour(mb: MBIntegrand, param_values: Mapping[str, object] | None = 
         rows.append((e, _BOX, False))
         rows.append(([-x for x in e], _BOX, False))
 
-    from itertools import combinations
-    from .symcore import mat_inverse
-
     best: tuple[Fraction, list[Fraction]] | None = None
-    m = n + 1
-    for subset in combinations(range(len(rows)), m):
-        mat = []
-        rhs = []
+    for subset in combinations(range(len(rows)), n + 1):
+        system = []
         for idx in subset:
             a_vec, b, has_m = rows[idx]
-            mat.append(list(a_vec) + [Fraction(-1) if has_m else Fraction(0)])
-            rhs.append(-b)
-        try:
-            inv, _ = mat_inverse(mat)
-        except SingularSystemError:
+            system.append(list(a_vec) + [Fraction(-1) if has_m else Fraction(0), -b])
+        pt = _solve_exact(system)
+        if pt is None:
             continue
-        pt = [sum(inv[i][j] * rhs[j] for j in range(m)) for i in range(m)]
         c_vec, margin = pt[:n], pt[n]
         ok = True
         for a_vec, b, has_m in rows:
@@ -194,6 +189,25 @@ def choose_contour(mb: MBIntegrand, param_values: Mapping[str, object] | None = 
     if best is None or best[0] <= 0:
         raise InfeasibleContour("no straight contour separates the pole families")
     return Contour(c=tuple(best[1]), margin=best[0])
+
+
+def _solve_exact(system: list[list[Fraction]]) -> list[Fraction] | None:
+    """Solution of the square system [A | rhs] by exact Gauss-Jordan
+    elimination (rows are overwritten), or None when A is singular."""
+    m = len(system)
+    for col in range(m):
+        piv = next((r for r in range(col, m) if system[r][col] != 0), None)
+        if piv is None:
+            return None
+        system[col], system[piv] = system[piv], system[col]
+        inv = Fraction(1) / system[col][col]
+        pivot_row = [x * inv for x in system[col]]
+        system[col] = pivot_row
+        for r in range(m):
+            f = system[r][col]
+            if r != col and f != 0:
+                system[r] = [x - f * y for x, y in zip(system[r], pivot_row)]
+    return [row[m] for row in system]
 
 
 # ---------------------------------------------------------------------------
@@ -330,28 +344,34 @@ def _panel_edges(width_hint: float, t_max: float) -> list[float]:
 
 
 def _axis_panels(edges: list[float], order: int, mirrored: bool):
-    """Per-panel (nodes, full weights, embedded low-order weights, |y| at inner edge).
+    """One axis's panels stacked: (nodes, full weights, embedded low-order
+    weights), each of shape (panels, order+1), and |y| at each inner edge.
 
     Mirrored axes list the negative-half panels first (outermost in).
     """
     x_full, w_full = _clenshaw_curtis(order)
     x_low, w_low = _clenshaw_curtis(order // 2)
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes = mid + half * x_full
-        wf = half * w_full
-        wl = np.zeros(order + 1)
-        wl[::2] = half * w_low
-        panels.append((nodes, wf, wl, lo))
+    lo = np.array(edges[:-1])
+    hi = np.array(edges[1:])
+    mid, half = (0.5 * (lo + hi))[:, None], (0.5 * (hi - lo))[:, None]
+    nodes = mid + half * x_full
+    wf = half * w_full
+    wl = np.zeros_like(wf)
+    wl[:, ::2] = half * w_low
+    inner = list(edges[:-1])
     if mirrored:
-        mirrored_panels = [(-nd[::-1], wf[::-1], wl[::-1], lo)
-                           for nd, wf, wl, lo in reversed(panels)]
-        panels = mirrored_panels + panels
-    return panels
+        nodes = np.concatenate([-nodes[::-1, ::-1], nodes])
+        wf = np.concatenate([wf[::-1, ::-1], wf])
+        wl = np.concatenate([wl[::-1, ::-1], wl])
+        inner = inner[::-1] + inner
+    return nodes, wf, wl, inner
 
 
 DEFAULT_MAX_NODES = 60_000_000
+
+# Nodes per integrand call: enough blocks to amortize the per-call cost of
+# clgamma, few enough that the chunk's tensors stay small.
+_CHUNK_NODES = 4096
 
 
 def eval_contour(mb: MBIntegrand, param_values: Mapping[str, float],
@@ -361,6 +381,11 @@ def eval_contour(mb: MBIntegrand, param_values: Mapping[str, float],
 
     Parameters raised to complex powers must be positive reals.  The returned
     abs_err_est combines the embedded-rule estimate with the analytic tail bound.
+
+    The kept panel blocks are evaluated in chunks of consecutive blocks, one
+    integrand call per chunk on a (blocks, order+1, ...) open grid.  Each
+    block's weighted sum is still taken on its own and added in block order,
+    so the result does not depend on the chunk size.
     """
     if max_nodes is None:
         max_nodes = DEFAULT_MAX_NODES
@@ -378,7 +403,8 @@ def eval_contour(mb: MBIntegrand, param_values: Mapping[str, float],
         kappas.append(k)
 
     # initial half-width per axis from the decay envelope at the contour point
-    mags = abs(f.value([np.array([complex(c)]) for c in cs]))[0]
+    abs_c = np.abs(f.value([np.array([complex(c)]) for c in cs]))
+    mags = abs_c[0]
     log_scale = math.log(mags) if mags > 0 else 0.0
     t_axes = []
     for i in range(ndim):
@@ -387,8 +413,7 @@ def eval_contour(mb: MBIntegrand, param_values: Mapping[str, float],
     width = float(min(max(contour.margin, Fraction(1, 100)), 2))
 
     # magnitude scale for skipping far cross-tail blocks of the panel tensor
-    log_c0 = float(np.log(np.abs(f.value([np.array([complex(c)]) for c in cs])))[0]) \
-        if mags > 0 else 0.0
+    log_c0 = float(np.log(abs_c)[0]) if mags > 0 else 0.0
     order = 16 if tol > 3e-8 else 32
     rounds = 0
     # narrow pole margins alias the embedded error estimate; verify by a
@@ -396,57 +421,46 @@ def eval_contour(mb: MBIntegrand, param_values: Mapping[str, float],
     narrow = float(contour.margin) < 0.2
     value_prev = None
     cross = None
-    from itertools import product as _product
+
+    def panels_and_blocks(order_):
+        """Each axis's panels and the (blocks, ndim) panel indices kept."""
+        axes_ = [_axis_panels(_panel_edges(width, t_axes[i]), order_, i != 0)
+                 for i in range(ndim)]
+        skip_log = math.log(tol) - 8.0 - math.log(
+            max(np.prod([len(a[3]) for a in axes_]), 1.0))
+        # per panel: the decay exponent at its inner edge and its width
+        decay = [[kappas[i] * lo for lo in axes_[i][3]] for i in range(ndim)]
+        widths = [(np.abs(a[0][:, -1] - a[0][:, 0]) + 1e-30).tolist() for a in axes_]
+        kept = []
+        for combo in product(*[range(len(a[3])) for a in axes_]):
+            log_bound = log_c0
+            vol = 1.0
+            for i, p in enumerate(combo):
+                log_bound -= decay[i][p]
+                vol *= widths[i][p]
+            if log_bound + math.log(vol) >= skip_log:
+                kept.append(combo)
+        return axes_, np.array(kept, dtype=np.intp).reshape(-1, ndim)
 
     while True:
-        axes = [_axis_panels(_panel_edges(width, t_axes[i]), order, i != 0)
-                for i in range(ndim)]
-        skip_log = math.log(tol) - 8.0 - math.log(
-            max(np.prod([len(a) for a in axes]), 1.0))
-
-        def _kept(axes_):
-            kept = []
-            for combo in _product(*axes_):
-                log_bound = log_c0
-                vol = 1.0
-                for i in range(ndim):
-                    log_bound -= kappas[i] * combo[i][3]
-                    vol *= abs(combo[i][0][-1] - combo[i][0][0]) + 1e-30
-                if log_bound + math.log(vol) >= skip_log:
-                    kept.append(combo)
-            return kept
-
-        blocks = _kept(axes)
+        axes, blocks = panels_and_blocks(order)
         while len(blocks) * (order + 1) ** ndim > max_nodes and order > 16:
             order -= 8
-            axes = [_axis_panels(_panel_edges(width, t_axes[i]), order, i != 0)
-                    for i in range(ndim)]
-            blocks = _kept(axes)
-        if len(blocks) * (order + 1) ** ndim > max_nodes:
-            raise NoConvergence(
-                f"node budget exceeded ({len(blocks) * (order + 1) ** ndim}"
-                f" > {max_nodes})")
+            axes, blocks = panels_and_blocks(order)
+        n_total = len(blocks) * (order + 1) ** ndim
+        if n_total > max_nodes:
+            raise NoConvergence(f"node budget exceeded ({n_total} > {max_nodes})")
         acc_full = 0.0 + 0.0j
         acc_low = [0.0 + 0.0j] * ndim
-        n_used = 0
-        for combo in blocks:
-            n_used += (order + 1) ** ndim
-            grids = np.meshgrid(*[c[0] for c in combo], indexing="ij", sparse=True)
-            zs = [cs[i] + 1j * grids[i] for i in range(ndim)]
-            vals = f.value(zs)
-            wgrids = np.meshgrid(*[c[1] for c in combo], indexing="ij", sparse=True)
-            wprod = wgrids[0]
-            for g in wgrids[1:]:
-                wprod = wprod * g
-            acc_full += np.sum(vals * wprod)
+        per_chunk = max(1, _CHUNK_NODES // (order + 1) ** ndim)
+        for start in range(0, len(blocks), per_chunk):
+            chunk = blocks[start:start + per_chunk]
+            ys, w_full, w_low = (_open_grids([a[k] for a in axes], chunk) for k in range(3))
+            vals = f.value([cs[i] + 1j * ys[i] for i in range(ndim)])
+            acc_full = _add_block_sums(acc_full, vals * reduce(mul, w_full))
             for i in range(ndim):
-                sel = [combo[j][2] if j == i else combo[j][1] for j in range(ndim)]
-                wg = np.meshgrid(*sel, indexing="ij", sparse=True)
-                wp = wg[0]
-                for g in wg[1:]:
-                    wp = wp * g
-                acc_low[i] += np.sum(vals * wp)
-        n_total = n_used
+                w_mixed = [w_low[j] if j == i else w_full[j] for j in range(ndim)]
+                acc_low[i] = _add_block_sums(acc_low[i], vals * reduce(mul, w_mixed))
 
         # conjugate-symmetric doubling over axis 0 (y0 > 0 half only)
         full = acc_full + np.conj(acc_full)
@@ -490,6 +504,25 @@ def eval_contour(mb: MBIntegrand, param_values: Mapping[str, float],
         diagnostics={"nodes": n_total, "t_axes": list(t_axes),
                      "imag_residual": float(abs(value_c.imag)),
                      "contour": [float(c) for c in contour.c]})
+
+
+def _open_grids(per_axis: Sequence[np.ndarray], chunk: np.ndarray) -> list[np.ndarray]:
+    """Row chunk[b, i] of each axis's (panels, order+1) array for every block
+    b of the chunk, axis i spread along dimension i+1 of the open grid."""
+    out = []
+    for i, arr in enumerate(per_axis):
+        shape = [len(chunk)] + [1] * len(per_axis)
+        shape[i + 1] = arr.shape[1]
+        out.append(arr[chunk[:, i]].reshape(shape))
+    return out
+
+
+def _add_block_sums(acc: complex, terms: np.ndarray) -> complex:
+    """acc plus the sum of each block (leading index) of ``terms``, one
+    block after another."""
+    for block in terms:
+        acc += np.sum(block)
+    return acc
 
 
 def conjugate_symmetry_residual(mb: MBIntegrand, param_values: Mapping[str, float],

@@ -272,3 +272,20 @@ def test_dispatch_reuses_one_parser_without_leaking_params(tmp_path, capsys):
     assert list(first["params"]["values"].items()) == [("a", 1.0), ("b", 2.0)]
     assert list(second["params"]["values"].items()) == [("b", 1.0), ("a", 1.0)]
     assert second["results"][0]["value"] == pytest.approx(math.pi ** 2 / 4, abs=1e-6)
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol, source):
+    # before the check, 0 and -1 ended in a math domain error, nan passed
+    # with value 0.0 and inf passed a series truncated at 1e-3
+    argv = ["ising", "--n", "3", "--k", "1", "--method", "contour"]
+    if source == "flag":
+        argv += [f"--tol={tol}"]
+    else:
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"tol={tol}\n")
+        argv += ["--config", str(cfg)]
+    code = cli.dispatch(argv)
+    cap = capsys.readouterr()
+    _assert_usage_error(code, cap.out, cap.err, f"not {float(tol)}")
