@@ -136,78 +136,97 @@ def derive_mb(series: BracketSeries, contour_vars: Sequence[str],
 # ---------------------------------------------------------------------------
 # contour selection: exact rational LP, maximize the minimum numerator slack
 
-_BOX = Fraction(100)
+_BOX = 100
 
 
 def choose_contour(mb: MBIntegrand, param_values: Mapping[str, object] | None = None,
                    pole_shifts: Mapping[LinearForm, int] | None = None) -> Contour:
-    """Interior point of {Re(arg) > 0 for all numerator gammas} with maximum
-    minimum slack, found by exact vertex enumeration of the small LP.
+    """Interior point of {Re(arg) > 0 for all numerator gammas} inside the box
+    |c_i| <= 100 with maximum minimum slack (the margin).
 
-    ``pole_shifts`` relaxes individual gammas to Re(arg) > -shift, for
-    representations whose first ``shift`` poles are accounted for separately.
+    Exact vertex enumeration in integers.  A constraint is a row r = (A, -M, B):
+    a gamma's a.c + b >= margin times the lcm M of its denominators (M = 0 on
+    the box).  Each subset of n+1 rows, in ``combinations`` order, is made
+    tight; its vertex v = (N, m, D), D > 0, means c = N/D and margin = m/D,
+    and is feasible when r.v >= 0 for every row.  The first feasible vertex of
+    largest margin wins, so a vertex whose margin is not above the best so far
+    is not scanned.  Subsets with the same first n rows share one
+    fraction-free solve of those rows.
+
+    ``pole_shifts`` {arg: k} keeps -k < Re(arg) < -k+1, for representations
+    whose first k poles of Gamma(arg) are accounted for separately.
     """
     params = {k: rat(v) if not isinstance(v, float) else Fraction(v)
               for k, v in (param_values or {}).items()}
     shifts = pole_shifts or {}
     n = mb.dim
-    rows = []  # (a_vec, b, margin_row)
+    rows = []
     for g in mb.numerator_gammas():
         a_vec = [g.arg.coeff(z) for z in mb.zsyms]
-        b_val = rat(g.arg.without(mb.zsyms).evaluate(params)) + rat(shifts.get(g.arg, 0))
-        rows.append((a_vec, b_val, True))
+        b_val = rat(g.arg.without(mb.zsyms).evaluate(params))
+        k = shifts.get(g.arg, 0)
+        rows.append(_margin_row(a_vec, b_val + k))
+        if k >= 1:
+            rows.append(_margin_row([-a for a in a_vec], -b_val - k + 1))
     if not rows:
         raise InfeasibleContour("integrand has no numerator gammas")
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        rows.append((e, _BOX, False))
-        rows.append(([-x for x in e], _BOX, False))
+    rows += [tuple(sign * (j == i) for j in range(n)) + (0, _BOX)
+             for i in range(n) for sign in (1, -1)]
 
-    best: tuple[Fraction, list[Fraction]] | None = None
-    for subset in combinations(range(len(rows)), n + 1):
-        system = []
-        for idx in subset:
-            a_vec, b, has_m = rows[idx]
-            system.append(list(a_vec) + [Fraction(-1) if has_m else Fraction(0), -b])
-        pt = _solve_exact(system)
-        if pt is None:
+    best = None
+    for head in combinations(range(len(rows)), n):
+        basis = _null_basis([rows[i] for i in head], n + 2)
+        if basis is None:
             continue
-        c_vec, margin = pt[:n], pt[n]
-        ok = True
-        for a_vec, b, has_m in rows:
-            lhs = sum(ai * ci for ai, ci in zip(a_vec, c_vec)) + b
-            if has_m:
-                if lhs < margin:
-                    ok = False
-                    break
-            elif lhs < 0:
-                ok = False
-                break
-        if ok and (best is None or margin > best[0]):
-            best = (margin, c_vec)
-    if best is None or best[0] <= 0:
+        u, w = basis
+        for r in rows[head[-1] + 1 if head else 0:]:
+            x, y = sum(map(mul, r, w)), sum(map(mul, r, u))
+            v = [x * ui - y * wi for ui, wi in zip(u, w)]
+            if v[n + 1] < 0:
+                v = [-t for t in v]
+            if v[n + 1] and (best is None or v[n] * best[n + 1] > best[n] * v[n + 1]) \
+                    and all(sum(map(mul, r, v)) >= 0 for r in rows):
+                best = v
+    if best is None or best[n] <= 0:
         raise InfeasibleContour("no straight contour separates the pole families")
-    return Contour(c=tuple(best[1]), margin=best[0])
+    d = best[n + 1]
+    return Contour(c=tuple(Fraction(x, d) for x in best[:n]),
+                   margin=Fraction(best[n], d))
 
 
-def _solve_exact(system: list[list[Fraction]]) -> list[Fraction] | None:
-    """Solution of the square system [A | rhs] by exact Gauss-Jordan
-    elimination (rows are overwritten), or None when A is singular."""
-    m = len(system)
-    for col in range(m):
-        piv = next((r for r in range(col, m) if system[r][col] != 0), None)
-        if piv is None:
+def _margin_row(a_vec: Sequence[Fraction], b: Fraction) -> tuple[int, ...]:
+    """a.c + b - margin >= 0 as the integer row (A, -M, B)."""
+    m = math.lcm(b.denominator, *(a.denominator for a in a_vec))
+    return tuple(int(a * m) for a in a_vec) + (-m, int(b * m))
+
+
+def _null_basis(rows: Sequence[Sequence[int]], width: int) -> list[list[int]] | None:
+    """Two integer vectors spanning the null space of n rows of length n+2,
+    or None when the rows have rank < n.  Fraction-free (Bareiss) Gauss-Jordan
+    elimination: every entry stays an integer minor, so each division is
+    exact, and every pivot ends equal to the last one."""
+    a = [list(r) for r in rows]
+    pivots = []
+    prev = 1
+    for k in range(len(a)):
+        rk = a[k]
+        col = next((j for j, x in enumerate(rk) if x), None)
+        if col is None:
             return None
-        system[col], system[piv] = system[piv], system[col]
-        inv = Fraction(1) / system[col][col]
-        pivot_row = [x * inv for x in system[col]]
-        system[col] = pivot_row
-        for r in range(m):
-            f = system[r][col]
-            if r != col and f != 0:
-                system[r] = [x - f * y for x, y in zip(system[r], pivot_row)]
-    return [row[m] for row in system]
+        p = rk[col]
+        for i, ri in enumerate(a):
+            if i != k:
+                f = ri[col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+        pivots.append(col)
+        prev = p
+    basis = []
+    for free in (j for j in range(width) if j not in pivots):
+        v = [prev * (j == free) for j in range(width)]
+        for col, r in zip(pivots, a):
+            v[col] = -r[free]
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------

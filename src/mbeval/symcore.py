@@ -228,30 +228,11 @@ class LinSolution:
 
 
 def det_rational(rows: Sequence[Sequence[Rational]]) -> Rational:
-    """Exact determinant by fraction-free Gaussian elimination (small m)."""
-    m = len(rows)
-    a = [list(map(rat, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(m):
-        piv = None
-        for r in range(col, m):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, m):
-            f = a[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, m):
-                a[r][c] -= f * a[col][c]
-    return det
+    """Exact determinant of a small square matrix (0 when it is singular)."""
+    try:
+        return mat_inverse(rows)[1]
+    except SingularSystemError:
+        return Fraction(0)
 
 
 def mat_inverse(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Rational]], Rational]:

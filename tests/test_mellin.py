@@ -112,6 +112,24 @@ def test_contour_box_j2_feasible_for_negative_s():
     assert ct.margin > 0
 
 
+def test_contour_pole_shift_bounds_the_shifted_gamma_from_both_sides():
+    # two crossed poles of Gamma(z1+z2-s/2) at s = 1/2: the contour must lie
+    # between the second and the third pole, -2 < Re(arg) < -1, or the two
+    # residues added below continue the wrong integral (B3 = 1.2451 with
+    # Re(arg) = -11/12)
+    s, tol = 0.5, 1e-8
+    mb, sum_arg = cat.box_j_mb(2)
+    ct = ml.choose_contour(mb, {"s": s}, pole_shifts={sum_arg: 2})
+    re_arg = sum(ct.c) - F(1, 4)
+    assert -2 + ct.margin <= re_arg <= -1 - ct.margin and ct.margin > 0
+    value = ml.eval_contour(mb, {"s": s}, ct, tol=tol).value
+    for j in range(2):
+        cj = (-1.0) ** j / (math.factorial(j) * (2 * j + 1)) \
+            * math.gamma(-(s - 2.0 * j) / 2.0) / math.gamma(-s / 2.0)
+        value += cj * cat._box_j_value(1, s - 2.0 * j, tol)[0]
+    assert abs(value - cat.box_b(3, s, "oracle", tol).value) <= tol
+
+
 # ---------------------------------------------------------------------------
 # eval_contour values
 
@@ -405,8 +423,12 @@ LP_CASES = [(name, build, pv, None) for name, build, pv, _ in CRITERION_11] + [
     ("ising3_k1", lambda: cat.ising_mb(3), {"k": 1}, None),
     ("h1_unit", lambda: cat.h1_mb(), {"a": 1, "b": 1}, None),
     ("box_j2_s-1", lambda: cat.box_j_mb(2)[0], {"s": -1}, None),
+    ("box_j4_s-0.5", lambda: cat.box_j_mb(4)[0], {"s": -0.5}, None),
+    # binary floats: Fraction(s) has a denominator near 2^54
+    ("box_j1_s-1.22", lambda: cat.box_j_mb(1)[0], {"s": -1.22}, None),
 ] + [(f"box_j{m}_s{s}_shift{k}", lambda m=m: cat.box_j_mb(m), {"s": s}, k)
-     for m, s, k in [(2, 1, 1), (2, 0.5, 1), (2, 1.9, 1), (2, 2.5, 2), (3, 1, 1)]]
+     for m, s, k in [(2, 1, 1), (2, 0.5, 1), (2, 1.9, 1), (2, 2.5, 2), (3, 1, 1),
+                     (4, 1, 1), (1, 0.38, 1)]]
 
 
 @pytest.mark.parametrize("name,build,pv,shift", LP_CASES, ids=[c[0] for c in LP_CASES])
